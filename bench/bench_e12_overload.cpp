@@ -14,8 +14,8 @@
 // stdout fails the eye; the pinned tables fail the gate).
 //
 // Sweep: offered-load multiplier {1x .. 8x} saturation x shed policy
-// {none, deadline} x all four engine kinds, two tenants, the same
-// open-loop Poisson-burst generator as E10 (arrivals ride the virtual
+// {none, deadline} x all four engine kinds, two tenants, E10's open-loop
+// Poisson-burst load (service_harness.hpp: arrivals ride the virtual
 // clock and are never throttled by completions). The contrast the tables
 // show:
 //
@@ -36,9 +36,8 @@
 // the virtual step clock, so every number here is a deterministic function
 // of the submit/pump sequence — safe to pin in the bench-gate baseline.
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,7 +50,7 @@
 #include "service/engine.hpp"
 #include "service/scheduler.hpp"
 #include "service/tenant.hpp"
-#include "util/error.hpp"
+#include "service_harness.hpp"
 #include "util/rng.hpp"
 
 using namespace meshsearch;
@@ -59,25 +58,9 @@ using namespace meshsearch::msearch;
 using namespace meshsearch::service;
 using ds::KaryTree;
 using ds::TreeMode;
+using bench::EngineCase;
 
 namespace {
-
-/// A burst-stream factory: `make(count, seed)` returns `count` queries for
-/// the engine's structure, deterministically derived from `seed`.
-using StreamFn =
-    std::function<std::vector<Query>(std::size_t, std::uint64_t)>;
-
-struct EngineCase {
-  EngineKey key;
-  Engine* engine = nullptr;
-  StreamFn make;
-  double steps_per_batch = 0;  ///< calibrated: one full-capacity warm batch
-};
-
-struct ArrivalEvent {
-  double at_steps = 0;
-  std::size_t tenant = 0;
-};
 
 struct PointResult {
   double load = 0;
@@ -92,18 +75,6 @@ struct PointResult {
   double goodput = 0;     ///< completed queries per 1000 steps
 };
 
-/// Steps one full-capacity batch charges on this warm engine — the unit
-/// deadlines and the load multiplier are expressed against.
-double calibrate_batch_steps(EngineCase& ec) {
-  ServiceScheduler sched;
-  auto& t = sched.add_tenant(
-      "calibrate", *ec.engine,
-      TenantQuota{.max_outstanding = ec.engine->capacity()});
-  t.submit(ec.make(ec.engine->capacity(), /*seed=*/9));
-  sched.run_until_idle();
-  return sched.now_steps();
-}
-
 /// One sweep point: two tenants, Poisson bursts of capacity/2 queries at
 /// aggregate offered rate = `load` x the engine's service rate. With
 /// mode=kDeadline both tenants run under the same overload policy:
@@ -112,26 +83,7 @@ double calibrate_batch_steps(EngineCase& ec) {
 PointResult run_point(EngineCase& ec, double load, ShedMode mode,
                       std::size_t bursts, std::uint64_t seed) {
   const std::size_t tenants = 2;
-  const std::size_t cap = ec.engine->capacity();
-  const std::size_t burst = std::max<std::size_t>(1, cap / 2);
-  const double mean_gap = static_cast<double>(tenants) *
-                          static_cast<double>(burst) * ec.steps_per_batch /
-                          (static_cast<double>(cap) * load);
-
-  std::vector<ArrivalEvent> events;
-  for (std::size_t t = 0; t < tenants; ++t) {
-    util::Rng rng(seed * 131 + t);
-    double at = 0;
-    for (std::size_t b = 0; b < bursts; ++b) {
-      at += -std::log(1.0 - rng.uniform_real()) * mean_gap;
-      events.push_back({at, t});
-    }
-  }
-  std::sort(events.begin(), events.end(), [](const auto& a, const auto& b) {
-    if (a.at_steps != b.at_steps) return a.at_steps < b.at_steps;
-    return a.tenant < b.tenant;
-  });
-
+  const std::size_t burst = bench::burst_size(ec);
   SloPolicy slo;
   if (mode == ShedMode::kDeadline) {
     slo.deadline_steps = 6 * ec.steps_per_batch;
@@ -139,27 +91,8 @@ PointResult run_point(EngineCase& ec, double load, ShedMode mode,
     slo.max_queue = 12 * burst;
     slo.shed_mode = ShedMode::kDeadline;
   }
-
   ServiceScheduler sched;  // DRR, the policy brownout/fairness assume
-  std::vector<TenantSession*> sessions;
-  for (std::size_t t = 0; t < tenants; ++t)
-    sessions.push_back(&sched.add_tenant(
-        "tenant" + std::to_string(t), *ec.engine,
-        TenantQuota{.max_outstanding = bursts * burst + cap}, slo));
-
-  std::uint64_t qseed = seed * 977;
-  for (const auto& ev : events) {
-    while (!sched.idle() && sched.now_steps() < ev.at_steps) sched.pump();
-    if (sched.now_steps() < ev.at_steps) sched.advance_clock_to(ev.at_steps);
-    auto qs = ec.make(burst, ++qseed);
-    try {
-      sessions[ev.tenant]->submit(std::move(qs));
-    } catch (const BackpressureError&) {
-      // Loud, all-or-nothing, and counted in the tenant's report — the
-      // open loop drops the burst, exactly what a backing-off client does.
-    }
-  }
-  sched.run_until_idle();
+  bench::run_open_loop(sched, ec, tenants, bursts, load, slo, seed);
 
   PointResult pt;
   pt.load = load;
@@ -213,10 +146,7 @@ void report(const EngineCase& ec, const std::vector<PointResult>& pts) {
                pt.p99_target, pt.goodput});
   bench::section("E12: " + name + " (steps/batch = " +
                  std::to_string(ec.steps_per_batch) + ")");
-  std::string csv = "e12_" + name;
-  for (auto& c : csv)
-    if (c == '/') c = '_';
-  bench::emit(t, csv);
+  bench::emit(t, bench::case_csv_name("e12", ec));
 
   // Goodput holds under overload: the most-loaded deadline point must keep
   // at least half the least-loaded deadline point's goodput (in fact it
@@ -234,29 +164,33 @@ void report(const EngineCase& ec, const std::vector<PointResult>& pts) {
               << " at " << lo->load << "x)\n";
 }
 
+/// The showcases' structure: a directed 3-ary tree over 500 keys, served
+/// warm by Algorithm 2 as dataset "books".
+struct Books {
+  KaryTree tree{ds::iota_keys(500), 3, TreeMode::kDirected};
+  std::unique_ptr<Engine> engine = make_partitioned_engine(
+      EngineKind::kAlg2Alpha, tree.graph(), tree.alpha_splitting(),
+      tree.alpha_splitting(), tree.rank_count(), mesh::CostModel{},
+      tree.graph().shape_for(tree.graph().vertex_count()));
+
+  Books() { engine->set_dataset("books"); }
+  static std::vector<Query> make(std::size_t mq, std::uint64_t seed) {
+    util::Rng rng(seed);
+    return ds::uniform_key_queries(mq, 520, rng);
+  }
+};
+
 /// Brownout showcase: a flooding tenant (p99 target it can never meet) and
 /// a light in-target tenant share one engine past the backlog watermark.
 /// The flooder loses quantum and sheds; the light tenant's admitted p99
 /// stays inside ITS policy. Same shape as the Overload.Brownout test, at
 /// bench scale and pinned in the baseline.
 void brownout_showcase(bool smoke) {
-  KaryTree tree(ds::iota_keys(500), 3, TreeMode::kDirected);
-  const auto shape = tree.graph().shape_for(tree.graph().vertex_count());
-  const std::size_t cap = shape.size();
-  const mesh::CostModel m;
-  auto engine = make_partitioned_engine(
-      EngineKind::kAlg2Alpha, tree.graph(), tree.alpha_splitting(),
-      tree.alpha_splitting(), tree.rank_count(), m, shape);
-  engine->set_dataset("books");
-  const StreamFn make = [](std::size_t mq, std::uint64_t seed) {
-    util::Rng rng(seed);
-    return ds::uniform_key_queries(mq, 520, rng);
-  };
-  EngineCase scratch;
-  scratch.key = {"books", EngineKind::kAlg2Alpha};
-  scratch.engine = engine.get();
-  scratch.make = make;
-  const double spb = calibrate_batch_steps(scratch);
+  Books books;
+  Engine& engine = *books.engine;
+  const std::size_t cap = engine.capacity();
+  EngineCase scratch{{"books", EngineKind::kAlg2Alpha}, &engine, Books::make};
+  const double spb = bench::calibrate_batch_steps(scratch);
 
   ServiceConfig cfg;
   cfg.brownout.watermark_queries = cap;
@@ -270,13 +204,13 @@ void brownout_showcase(bool smoke) {
   flood_slo.shed_mode = ShedMode::kDeadline;
   SloPolicy light_slo;
   light_slo.p99_target_steps = 10 * spb;
-  TenantSession& flood = svc.add_tenant("flood", *engine, quota, flood_slo);
-  TenantSession& light = svc.add_tenant("light", *engine, quota, light_slo);
+  TenantSession& flood = svc.add_tenant("flood", engine, quota, flood_slo);
+  TenantSession& light = svc.add_tenant("light", engine, quota, light_slo);
 
   const std::uint64_t rounds = smoke ? 10 : 24;
   for (std::uint64_t i = 0; i < rounds; ++i) {
-    flood.submit(make(4 * cap, 100 + i));
-    light.submit(make(cap / 8, 200 + i));
+    flood.submit(Books::make(4 * cap, 100 + i));
+    light.submit(Books::make(cap / 8, 200 + i));
     svc.pump();
   }
   svc.run_until_idle();
@@ -312,25 +246,16 @@ void brownout_showcase(bool smoke) {
 /// zero charge until the engine heals and the half-open probe recovers.
 /// The table is the service.breaker.* counter family.
 void breaker_showcase() {
-  KaryTree tree(ds::iota_keys(500), 3, TreeMode::kDirected);
-  const auto shape = tree.graph().shape_for(tree.graph().vertex_count());
-  const std::size_t cap = shape.size();
-  const mesh::CostModel m;
-  auto engine = make_partitioned_engine(
-      EngineKind::kAlg2Alpha, tree.graph(), tree.alpha_splitting(),
-      tree.alpha_splitting(), tree.rank_count(), m, shape);
-  engine->set_dataset("books");
-  engine->breaker().configure(BreakerPolicy{/*failure_threshold=*/1});
-  const StreamFn make = [](std::size_t mq, std::uint64_t seed) {
-    util::Rng rng(seed);
-    return ds::uniform_key_queries(mq, 520, rng);
-  };
+  Books books;
+  Engine& engine = *books.engine;
+  const std::size_t cap = engine.capacity();
+  engine.breaker().configure(BreakerPolicy{/*failure_threshold=*/1});
 
   ServiceScheduler svc;
   TenantQuota quota;
   quota.max_outstanding = 16 * cap;
-  TenantSession& sick = svc.add_tenant("sick", *engine, quota);
-  TenantSession& bystander = svc.add_tenant("bystander", *engine, quota);
+  TenantSession& sick = svc.add_tenant("sick", engine, quota);
+  TenantSession& bystander = svc.add_tenant("bystander", engine, quota);
 
   // Every one of sick's attempts faults, with no retry or re-plan budget:
   // the first dispatch trips the breaker, and the bystander's slices in the
@@ -342,17 +267,17 @@ void breaker_showcase() {
   fcfg.max_replans = 0;
   mesh::FaultPlan plan(fcfg);
   sick.set_fault(&plan);
-  sick.submit(make(cap / 2, 41));
-  bystander.submit(make(cap / 2, 42));
+  sick.submit(Books::make(cap / 2, 41));
+  bystander.submit(Books::make(cap / 2, 42));
   svc.pump();
 
   // The engine heals; the next round's first dispatch is the probe.
   sick.set_fault(nullptr);
-  sick.submit(make(cap / 2, 43));
-  bystander.submit(make(cap / 2, 44));
+  sick.submit(Books::make(cap / 2, 43));
+  bystander.submit(Books::make(cap / 2, 44));
   svc.run_until_idle();
 
-  const auto& c = engine->breaker().counters();
+  const auto& c = engine.breaker().counters();
   util::Table t({"counter", "value"});
   t.add_row({std::string("trips"), static_cast<std::int64_t>(c.trips)});
   t.add_row({std::string("probes"), static_cast<std::int64_t>(c.probes)});
@@ -367,7 +292,7 @@ void breaker_showcase() {
 
   if (c.trips == 0 || c.recoveries == 0)
     std::cout << "VIOLATION: breaker never tripped or never recovered\n";
-  if (engine->breaker().state() != BreakerState::kClosed)
+  if (engine.breaker().state() != BreakerState::kClosed)
     std::cout << "VIOLATION: breaker not closed after the engine healed\n";
   const TenantReport brep = bystander.report();
   if (brep.failed_fast == 0 || brep.completed == 0)
@@ -393,77 +318,11 @@ int main(int argc, char** argv) {
                                                               8.0};
   breport.set_config("bursts", std::to_string(bursts));
 
-  // One registry of warm engines for the whole sweep (setup paid once per
-  // structure) — the same four cases as E10.
-  util::Rng rng(41);
-  const auto g = ds::build_hierarchical_dag(dag_n, 2.0, 3, rng);
-  const HierarchicalDag dag(g, 2.0);
-  const auto shape = g.shape_for(g.vertex_count());
-  const mesh::CostModel m;
-  KaryTree tree2(ds::iota_keys(tree2_n), 3, TreeMode::kDirected);
-  const auto shape2 = tree2.graph().shape_for(tree2.graph().vertex_count());
-  KaryTree tree3(ds::iota_keys(tree3_n), 2, TreeMode::kUndirected);
-  const auto shape3 = tree3.graph().shape_for(tree3.graph().vertex_count());
-  const auto [s1, s2] = tree3.alpha_beta_splittings();
-
-  EngineRegistry registry;
-  registry.add({"hier", EngineKind::kAlg1Paper},
-               make_hierarchical_engine(dag, PlanKind::kPaper, ds::HashWalk{0},
-                                        m, shape));
-  registry.add({"hier", EngineKind::kAlg1Geometric},
-               make_hierarchical_engine(dag, PlanKind::kGeometric,
-                                        ds::HashWalk{0}, m, shape));
-  registry.add({"tree2", EngineKind::kAlg2Alpha},
-               make_partitioned_engine(EngineKind::kAlg2Alpha, tree2.graph(),
-                                       tree2.alpha_splitting(),
-                                       tree2.alpha_splitting(),
-                                       tree2.rank_count(), m, shape2));
-  registry.add({"tree3", EngineKind::kAlg3AlphaBeta},
-               make_partitioned_engine(EngineKind::kAlg3AlphaBeta,
-                                       tree3.graph(), s1, s2,
-                                       tree3.euler_scan(), m, shape3));
-
-  const StreamFn alg1_stream = [](std::size_t mq, std::uint64_t seed) {
-    auto qs = make_queries(mq);
-    util::Rng qrng(seed);
-    for (auto& q : qs)
-      q.key[0] = static_cast<std::int64_t>(qrng.uniform(1ull << 40));
-    return qs;
-  };
-  const StreamFn alg2_stream = [tree2_n](std::size_t mq, std::uint64_t seed) {
-    util::Rng qrng(seed);
-    return ds::uniform_key_queries(mq, tree2_n + 20, qrng);
-  };
-  const StreamFn alg3_stream = [tree3_n](std::size_t mq, std::uint64_t seed) {
-    auto qs = make_queries(mq);
-    util::Rng qrng(seed);
-    for (auto& q : qs) {
-      const auto a =
-          qrng.uniform_range(-3, static_cast<std::int64_t>(tree3_n) + 3);
-      q.key[0] = a;
-      q.key[1] = a + qrng.uniform_range(0, 30);
-    }
-    return qs;
-  };
-
-  const std::vector<std::pair<EngineKey, StreamFn>> case_specs = {
-      {{"hier", EngineKind::kAlg1Paper}, alg1_stream},
-      {{"hier", EngineKind::kAlg1Geometric}, alg1_stream},
-      {{"tree2", EngineKind::kAlg2Alpha}, alg2_stream},
-      {{"tree3", EngineKind::kAlg3AlphaBeta}, alg3_stream},
-  };
-  std::vector<EngineCase> cases;
-  for (const auto& [key, fn] : case_specs) {
-    EngineCase ec;
-    ec.key = key;
-    ec.engine = &registry.at(key);
-    ec.make = fn;
-    cases.push_back(std::move(ec));
-  }
-
+  // The same four warm engines as E10 (setup paid once per structure).
+  bench::ServiceEngines engines(dag_n, tree2_n, tree3_n);
   std::uint64_t point_seed = 300;
-  for (auto& ec : cases) {
-    ec.steps_per_batch = calibrate_batch_steps(ec);
+  for (auto& ec : engines.cases()) {
+    ec.steps_per_batch = bench::calibrate_batch_steps(ec);
     std::vector<PointResult> pts;
     for (const double load : loads)
       for (const auto mode : {ShedMode::kNone, ShedMode::kDeadline}) {

@@ -133,41 +133,26 @@ std::vector<std::uint32_t> BatchSource::pop_expired(
   return out;
 }
 
-namespace {
-
-std::vector<PendingBatch> split_pieces(const PendingBatch& failed,
-                                       std::size_t cap) {
+void BatchSource::requeue_split(const PendingBatch& failed, std::size_t cap,
+                                RequeueSide side) {
   MS_CHECK_MSG(cap >= 1, "requeue_split requires a positive capacity");
-  std::vector<PendingBatch> pieces;
-  for (std::size_t at = 0; at < failed.indices.size(); at += cap) {
+  const std::size_t n = failed.indices.size();
+  const std::size_t pieces = (n + cap - 1) / cap;
+  for (std::size_t p = 0; p < pieces; ++p) {
+    // Prepending walks the pieces last-first so piece 0 ends up in front.
+    const std::size_t at =
+        (side == RequeueSide::kBack ? p : pieces - 1 - p) * cap;
     PendingBatch piece;
     piece.replans = failed.replans + 1;
     piece.indices.assign(
         failed.indices.begin() + static_cast<std::ptrdiff_t>(at),
-        failed.indices.begin() + static_cast<std::ptrdiff_t>(std::min(
-                                     at + cap, failed.indices.size())));
-    pieces.push_back(std::move(piece));
-  }
-  return pieces;
-}
-
-}  // namespace
-
-void BatchSource::requeue_split_back(const PendingBatch& failed,
-                                     std::size_t cap) {
-  for (auto& piece : split_pieces(failed, cap)) {
+        failed.indices.begin() +
+            static_cast<std::ptrdiff_t>(std::min(at + cap, n)));
     queries_ += piece.indices.size();
-    work_.push_back(std::move(piece));
-  }
-}
-
-void BatchSource::requeue_split_front(const PendingBatch& failed,
-                                      std::size_t cap) {
-  auto pieces = split_pieces(failed, cap);
-  // Prepend keeping piece order: insert in reverse so pieces[0] ends first.
-  for (auto it = pieces.rbegin(); it != pieces.rend(); ++it) {
-    queries_ += it->indices.size();
-    work_.push_front(std::move(*it));
+    if (side == RequeueSide::kBack)
+      work_.push_back(std::move(piece));
+    else
+      work_.push_front(std::move(piece));
   }
 }
 

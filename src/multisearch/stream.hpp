@@ -34,6 +34,13 @@
 //     the full setup before every batch — the naive baseline E8 compares
 //     against.
 //
+//   * execute_batch — the one batch-execution path: gather a batch off its
+//     stream, run it, scatter the answers back, and on an exhausted fault
+//     budget degrade the plan and requeue or report the batch.
+//     StreamScheduler::run and the multi-tenant service's
+//     ServiceScheduler (src/service/) both call it; each keeps only its own
+//     policy around it.
+//
 // Invalidation contract (DESIGN.md §5, decisions "Streaming batches" and
 // 16): the cache is valid as long as the graph, the mesh shape, and (for
 // Alg 1) the plan kind are unchanged — and, since PR 9, the engine TRACKS
@@ -124,6 +131,11 @@ std::vector<std::vector<std::uint32_t>> plan_batches(
     const std::vector<Query>& stream, const BatchPolicy& policy,
     std::size_t capacity);
 
+/// Where execute_batch puts a fault-exhausted batch's pieces: the back for
+/// the stream scheduler (its batches are independent), the front for the
+/// service (a tenant's later arrivals must not overtake its failed work).
+enum class RequeueSide : std::uint8_t { kBack = 0, kFront };
+
 /// One pending unit of work in a batch queue: stream/arrival positions plus
 /// the fault re-plan generation that produced this slicing (0 = original).
 struct PendingBatch {
@@ -139,10 +151,9 @@ struct PendingBatch {
 ///     constructor wraps plan_batches) and pops planned batches whole;
 ///   * ServiceScheduler enqueues arrivals as they are admitted and pops
 ///     deficit-sized slices (pop_upto) for fair batching between tenants;
-///   * both requeue a fault-exhausted batch as capacity-clamped pieces at
-///     the next re-plan generation — at the back for the stream scheduler
-///     (its batches are independent) and at the front for the service (a
-///     tenant's queries must not be overtaken by its later arrivals).
+///   * execute_batch requeues a fault-exhausted batch for both as
+///     capacity-clamped pieces at the next re-plan generation, on the
+///     caller's RequeueSide.
 ///
 /// Deterministic by construction: a pure function of the enqueue/pop call
 /// sequence, no clocks, no randomness.
@@ -182,19 +193,18 @@ class BatchSource {
   /// stopping at the first live one. The service scheduler uses this for
   /// deadline shedding at dispatch time — and the prefix form is EXACT, not
   /// an approximation, because the queue is kept in admission order (enqueue
-  /// appends arrivals, requeue_split_front prepends strictly older work), so
-  /// under a per-tenant deadline measured from each position's admission
+  /// appends arrivals, a kFront requeue_split prepends strictly older work),
+  /// so under a per-tenant deadline measured from each position's admission
   /// clock, the expired positions are always a prefix. Empty batches left
   /// behind are dropped. Returns an empty vector on an empty source.
   std::vector<std::uint32_t> pop_expired(
       const std::function<bool(std::uint32_t)>& expired);
 
   /// Requeue a fault-exhausted batch as pieces of at most `cap` positions,
-  /// each at generation `failed.replans + 1`, preserving index order.
-  /// _back appends (stream scheduler), _front prepends keeping piece order
-  /// (service scheduler: the tenant's own later work must not overtake).
-  void requeue_split_back(const PendingBatch& failed, std::size_t cap);
-  void requeue_split_front(const PendingBatch& failed, std::size_t cap);
+  /// each at generation `failed.replans + 1`, preserving index order: kBack
+  /// appends them, kFront prepends them keeping piece order.
+  void requeue_split(const PendingBatch& failed, std::size_t cap,
+                     RequeueSide side);
 
  private:
   std::deque<PendingBatch> work_;
@@ -216,7 +226,9 @@ struct BatchReport {
   /// Wall-clock observability (NOT part of the determinism contract, which
   /// pins outcomes, charges, and attribution only — DESIGN.md decision 13).
   double wall_us = 0;        ///< wall time this batch attempt took
-  double queue_wait_us = 0;  ///< wall time since run() start before it began
+  /// Wall time from the end of run()'s batch planning (the opening of the
+  /// `stream` span) to the start of this attempt.
+  double queue_wait_us = 0;
 
   mesh::Cost total() const { return setup + inject + run; }
 };
@@ -263,6 +275,59 @@ void finalize_stream(StreamResult& res);
 /// stream.queries_per_step, stream.amortized_steps_per_query,
 /// stream.setup_fraction) into `rec`. Null `rec` is a no-op.
 void record_stream_metrics(trace::TraceRecorder* rec, const StreamResult& res);
+
+/// What one execute_batch attempt came to.
+enum class BatchOutcome : std::uint8_t {
+  kAnswered = 0,  ///< answers scattered back into the stream
+  kRequeued,      ///< faulted; split pieces requeued at generation + 1
+  kDegraded,      ///< faulted past max_replans; reported failed, unanswered
+};
+
+/// The one batch-execution path, shared by StreamScheduler::run (over a
+/// PreparedSearch) and ServiceScheduler (over a service::Engine). Gathers
+/// `cur`'s queries out of `stream` into `scratch` (reused across batches),
+/// runs them on `engine` and scatters the answers back. Because the engine
+/// runs on that copy, a batch that throws FaultExhaustedError leaves the
+/// stream at its pre-batch checkpoint for free. The plan then degrades, and
+/// the batch is requeued as pieces of the surviving capacity on `side` of
+/// `queue` while its re-plan generation is under max_replans, else reported
+/// degraded. With no plan (`fault == nullptr`) the error is not ours to
+/// recover and propagates. Fills `rep`'s size, visits, inject, run, replans
+/// and degraded fields.
+template <class E>
+BatchOutcome execute_batch(E& engine, mesh::FaultPlan* fault,
+                           std::vector<Query>& stream, const PendingBatch& cur,
+                           BatchSource& queue, RequeueSide side,
+                           std::vector<Query>& scratch, BatchReport& rep) {
+  scratch.clear();
+  scratch.reserve(cur.indices.size());
+  for (const auto idx : cur.indices) scratch.push_back(stream[idx]);
+  rep.replans = cur.replans;
+  try {
+    const BatchReport r = engine.run_batch(scratch);
+    rep.size = r.size;
+    rep.visits = r.visits;
+    rep.inject = r.inject;
+    rep.run = r.run;
+  } catch (const mesh::FaultExhaustedError&) {
+    if (fault == nullptr) throw;
+    fault->degrade();
+    if (cur.replans < static_cast<std::uint32_t>(
+                          std::max(0, fault->config().max_replans))) {
+      fault->count_replanned_batch();
+      queue.requeue_split(cur, fault->effective_capacity(engine.capacity()),
+                          side);
+      return BatchOutcome::kRequeued;
+    }
+    fault->count_degraded_batch();
+    rep.size = cur.indices.size();
+    rep.degraded = true;
+    return BatchOutcome::kDegraded;
+  }
+  for (std::size_t k = 0; k < cur.indices.size(); ++k)
+    stream[cur.indices[k]] = scratch[k];
+  return BatchOutcome::kAnswered;
+}
 
 template <SearchProgram P>
 class PreparedSearch {
@@ -570,13 +635,12 @@ class StreamScheduler {
   /// the engine's first; re-running on a warm engine charges no setup at
   /// all, which is the point.
   ///
-  /// Fault degradation: each batch runs on a COPY of its stream slice, so a
-  /// batch that throws FaultExhaustedError leaves the stream at its
-  /// pre-batch checkpoint for free. The scheduler then shrinks the fault
-  /// plan's surviving capacity, re-slices the batch onto it and requeues the
-  /// pieces; a batch that exhausts max_replans generations is reported
-  /// degraded (BatchReport.degraded, StreamResult::failed_queries) instead
-  /// of poisoning the stream — never a silent wrong answer.
+  /// Fault degradation (execute_batch): a batch that throws
+  /// FaultExhaustedError leaves the stream at its pre-batch checkpoint; the
+  /// fault plan's surviving capacity shrinks and the batch's pieces are
+  /// requeued at the back. A batch that exhausts max_replans generations is
+  /// reported degraded (BatchReport.degraded, StreamResult::failed_queries)
+  /// instead of poisoning the stream — never a silent wrong answer.
   StreamResult run(std::vector<Query>& stream) {
     StreamResult res;
     res.queries = stream.size();
@@ -584,34 +648,24 @@ class StreamScheduler {
     // The scheduler traces into the same sink the engine charges through.
     trace::TraceRecorder* rec = engine_->model().trace;
     mesh::FaultPlan* fault = engine_->model().fault;
-    const std::uint32_t max_replans =
-        fault != nullptr
-            ? static_cast<std::uint32_t>(
-                  std::max(0, fault->config().max_replans))
-            : 0;
     TRACE_SPAN(rec, "stream");
     const bool cold = engine_->batches_served() == 0;
     std::size_t serial = 0;  ///< span numbering: one per attempt, run order
     bool setup_attributed = false;
-    std::vector<Query> batch;
-    // Wall-clock SLO instrumentation: queue wait = time between run() start
-    // and the attempt beginning; latency = the attempt itself. Histograms
-    // live on the result AND (via the recorder) in the StatsRegistry; they
-    // never feed back into scheduling, so determinism is untouched.
+    std::vector<Query> scratch;
+    // Wall-clock SLO instrumentation: queue wait = time between the end of
+    // planning and the attempt beginning; latency = the attempt itself.
+    // Histograms live on the result AND (via the recorder) in the
+    // StatsRegistry; they never feed back into scheduling, so determinism
+    // is untouched.
     const auto wall_epoch = std::chrono::steady_clock::now();
-    const auto wall_us_since = [](std::chrono::steady_clock::time_point t0) {
-      return std::chrono::duration<double, std::micro>(
-                 std::chrono::steady_clock::now() - t0)
-          .count();
-    };
     while (!work.empty()) {
       PendingBatch cur = work.pop();
       trace::SpanScope batch_span(rec,
                                   "stream.batch " + std::to_string(serial));
       ++serial;
       BatchReport rep;
-      rep.replans = cur.replans;
-      rep.queue_wait_us = wall_us_since(wall_epoch);
+      rep.queue_wait_us = util::wall_us_since(wall_epoch);
       const auto attempt_begin = std::chrono::steady_clock::now();
       // Cold setup rides on the first report actually emitted; a failed
       // attempt whose report is discarded carries it to the next one.
@@ -622,56 +676,28 @@ class StreamScheduler {
       } else if (attribute_setup) {
         rep.setup = engine_->setup_cost();  // attribution only, not a charge
       }
-      batch.clear();
-      batch.reserve(cur.indices.size());
-      for (const auto idx : cur.indices) batch.push_back(stream[idx]);
-      try {
-        const BatchReport r = engine_->run_batch(batch);
-        rep.size = r.size;
-        rep.visits = r.visits;
-        rep.inject = r.inject;
-        rep.run = r.run;
-        for (std::size_t k = 0; k < cur.indices.size(); ++k)
-          stream[cur.indices[k]] = batch[k];
-        if (attribute_setup) setup_attributed = true;
-        rep.wall_us = wall_us_since(attempt_begin);
-        res.slo.batch_latency_us.observe(rep.wall_us);
-        res.slo.queue_wait_us.observe(rep.queue_wait_us);
-        if (rec != nullptr) {
-          rec->stat_observe("stream.batch_latency_us", rep.wall_us);
-          rec->stat_observe("stream.queue_wait_us", rep.queue_wait_us);
-          rec->stat_add("stream.batches_run");
-        }
-        res.batches.push_back(rep);
-      } catch (const mesh::FaultExhaustedError&) {
-        if (fault == nullptr) throw;  // not ours to recover
-        // `batch` was a copy — the stream still holds the checkpoint.
-        fault->degrade();
-        if (cur.replans < max_replans) {
-          fault->count_replanned_batch();
-          ++res.slo.replans;
-          if (rec != nullptr) rec->stat_add("stream.replans");
-          work.requeue_split_back(cur,
-                                  fault->effective_capacity(engine_->capacity()));
-        } else {
-          fault->count_degraded_batch();
-          rep.size = cur.indices.size();
-          rep.degraded = true;
-          res.failed_queries.insert(res.failed_queries.end(),
-                                    cur.indices.begin(), cur.indices.end());
-          if (attribute_setup) setup_attributed = true;
-          rep.wall_us = wall_us_since(attempt_begin);
-          res.slo.batch_latency_us.observe(rep.wall_us);
-          res.slo.queue_wait_us.observe(rep.queue_wait_us);
-          if (rec != nullptr) {
-            rec->stat_observe("stream.batch_latency_us", rep.wall_us);
-            rec->stat_observe("stream.queue_wait_us", rep.queue_wait_us);
-            rec->stat_add("stream.batches_run");
-            rec->stat_add("stream.degraded_batches");
-          }
-          res.batches.push_back(rep);
-        }
+      const BatchOutcome outcome =
+          execute_batch(*engine_, fault, stream, cur, work,
+                        RequeueSide::kBack, scratch, rep);
+      if (outcome == BatchOutcome::kRequeued) {
+        ++res.slo.replans;
+        if (rec != nullptr) rec->stat_add("stream.replans");
+        continue;
       }
+      if (rep.degraded)
+        res.failed_queries.insert(res.failed_queries.end(),
+                                  cur.indices.begin(), cur.indices.end());
+      if (attribute_setup) setup_attributed = true;
+      rep.wall_us = util::wall_us_since(attempt_begin);
+      res.slo.batch_latency_us.observe(rep.wall_us);
+      res.slo.queue_wait_us.observe(rep.queue_wait_us);
+      if (rec != nullptr) {
+        rec->stat_observe("stream.batch_latency_us", rep.wall_us);
+        rec->stat_observe("stream.queue_wait_us", rep.queue_wait_us);
+        rec->stat_add("stream.batches_run");
+        if (rep.degraded) rec->stat_add("stream.degraded_batches");
+      }
+      res.batches.push_back(rep);
     }
     finalize_stream(res);
     record_stream_metrics(rec, res);

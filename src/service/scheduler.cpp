@@ -10,12 +10,6 @@ namespace meshsearch::service {
 
 namespace {
 
-double wall_us_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// Metric identity of an engine's breaker: "dataset/kind" as in
 /// engine_key_name (the scheduler has the Engine, not its registry key, but
 /// dataset + kind IS the key).
@@ -236,70 +230,48 @@ ServiceScheduler::ServeOutcome ServiceScheduler::serve_slice(
   ++serial_;
   const double attempt_start = clock_;
   const auto wall_begin = std::chrono::steady_clock::now();
-  // The engine runs on a COPY of the tenant's slice: a fault-exhausted
-  // attempt leaves every query at its pre-batch checkpoint for free.
-  std::vector<msearch::Query> batch;
-  batch.reserve(cur.indices.size());
-  for (const auto idx : cur.indices) batch.push_back(t.stream_[idx]);
-  try {
-    const msearch::BatchReport rep = engine.run_batch(batch);
+  // Front, not back: the tenant's own later arrivals must not overtake its
+  // failed queries.
+  msearch::BatchReport rep;
+  const msearch::BatchOutcome outcome = msearch::execute_batch(
+      engine, t.fault_, t.stream_, cur, t.queue_,
+      msearch::RequeueSide::kFront, scratch_, rep);
+  if (outcome == msearch::BatchOutcome::kAnswered) {
     clock_ += (rep.inject + rep.run).steps;
     t.inject_ += rep.inject;
     t.run_ += rep.run;
-    ++t.batches_;
     if (breaker.record_success() && trace_ != nullptr)
       trace_->stat_add(trace::breaker_metric(breaker_id(engine),
                                              "recoveries"));
-    const double wall = wall_us_since(wall_begin);
-    t.batch_latency_us_.observe(wall);
-    if (trace_ != nullptr) {
-      trace_->stat_observe(trace::tenant_metric(t.name_, "batch_latency_us"),
-                           wall);
-      trace_->stat_add(trace::tenant_metric(t.name_, "batches_run"));
-    }
-    for (std::size_t k = 0; k < cur.indices.size(); ++k) {
-      t.stream_[cur.indices[k]] = batch[k];
-      resolve(t, cur.indices[k], QueryState::kDone, attempt_start,
-              /*dispatched=*/true);
-    }
-    out.resolved += cur.indices.size();
-  } catch (const mesh::FaultExhaustedError&) {
-    if (t.fault_ == nullptr) throw;  // not ours to recover
+  } else {
     out.faulted = true;
     if (breaker.record_failure(round_) && trace_ != nullptr)
       trace_->stat_add(trace::breaker_metric(breaker_id(engine), "trips"));
-    t.fault_->degrade();
-    const auto max_replans = static_cast<std::uint32_t>(
-        std::max(0, t.fault_->config().max_replans));
-    if (cur.replans < max_replans) {
-      t.fault_->count_replanned_batch();
+    if (outcome == msearch::BatchOutcome::kRequeued) {
       ++t.replans_;
       if (trace_ != nullptr)
         trace_->stat_add(trace::tenant_metric(t.name_, "replans"));
-      // Front, not back: the tenant's own later arrivals must not overtake
-      // its failed queries.
-      t.queue_.requeue_split_front(
-          cur, t.fault_->effective_capacity(engine.capacity()));
-    } else {
-      t.fault_->count_degraded_batch();
-      ++t.degraded_batches_;
-      ++t.batches_;
-      const double wall = wall_us_since(wall_begin);
-      t.batch_latency_us_.observe(wall);
-      if (trace_ != nullptr) {
-        trace_->stat_observe(trace::tenant_metric(t.name_, "batch_latency_us"),
-                             wall);
-        trace_->stat_add(trace::tenant_metric(t.name_, "batches_run"));
-        trace_->stat_add(trace::tenant_metric(t.name_, "degraded_batches"));
-      }
-      // Reported failed, never silently wrong: the tickets stay at their
-      // checkpoint state and flip to kFailed.
-      for (const auto idx : cur.indices)
-        resolve(t, idx, QueryState::kFailed, attempt_start,
-                /*dispatched=*/true);
-      out.resolved += cur.indices.size();
+      return out;
     }
+    ++t.degraded_batches_;
   }
+  ++t.batches_;
+  const double wall = util::wall_us_since(wall_begin);
+  t.batch_latency_us_.observe(wall);
+  if (trace_ != nullptr) {
+    trace_->stat_observe(trace::tenant_metric(t.name_, "batch_latency_us"),
+                         wall);
+    trace_->stat_add(trace::tenant_metric(t.name_, "batches_run"));
+    if (rep.degraded)
+      trace_->stat_add(trace::tenant_metric(t.name_, "degraded_batches"));
+  }
+  // A degraded batch is reported failed, never silently wrong: its tickets
+  // stay at their checkpoint state and flip to kFailed.
+  const QueryState state =
+      rep.degraded ? QueryState::kFailed : QueryState::kDone;
+  for (const auto idx : cur.indices)
+    resolve(t, idx, state, attempt_start, /*dispatched=*/true);
+  out.resolved += cur.indices.size();
   return out;
 }
 

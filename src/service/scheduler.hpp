@@ -31,13 +31,16 @@
 // which is what keeps the repo's 1-vs-8-thread bit-identity contract intact
 // here for free.
 //
-// Fault handling follows StreamScheduler's degradation contract per tenant:
-// a batch that exhausts its retry budget shrinks ONLY that tenant's
-// surviving capacity, its pieces are requeued at the FRONT of that tenant's
-// queue (a tenant's earlier queries must not be overtaken by its later
-// ones), and the tenant's turn ends so co-resident tenants are not taxed by
-// its retries. After max_replans generations the piece is reported failed
+// Every dispatch runs through msearch::execute_batch, the batch-execution
+// path StreamScheduler uses too, under the tenant's own fault plan: a batch
+// that exhausts its retry budget shrinks ONLY that tenant's surviving
+// capacity, its pieces are requeued at the FRONT of that tenant's queue (a
+// tenant's earlier queries must not be overtaken by its later ones), and
+// the tenant's turn ends so co-resident tenants are not taxed by its
+// retries. After max_replans generations the piece is reported failed
 // (kFailed tickets, TenantReport::failed_queries) — never silently wrong.
+// What stays here is the service's own policy around that path: shedding,
+// the update-barrier clamp, the breaker, the virtual clock and resolve.
 //
 // Overload protection (DESIGN.md decision 17) composes four mechanisms, all
 // decided on the SAME virtual clock / round counter so every shed, reject,
@@ -211,6 +214,7 @@ class ServiceScheduler {
   std::vector<double> deficit_;  ///< parallel to tenants_
   double clock_ = 0;             ///< virtual time, simulated mesh steps
   std::size_t serial_ = 0;       ///< batch span numbering, attempt order
+  std::vector<msearch::Query> scratch_;  ///< execute_batch gather buffer
   std::uint64_t round_ = 0;      ///< pump() rounds; the breaker probe clock
   std::uint64_t brownout_rounds_ = 0;
 };

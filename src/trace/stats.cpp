@@ -320,10 +320,7 @@ ScopedWallTimer::ScopedWallTimer(StatsRegistry& reg, std::string_view name) {
 
 ScopedWallTimer::~ScopedWallTimer() {
   if (!armed_) return;
-  const auto us = std::chrono::duration<double, std::micro>(
-                      std::chrono::steady_clock::now() - begin_)
-                      .count();
-  hist_.observe(us);
+  hist_.observe(util::wall_us_since(begin_));
 }
 
 }  // namespace meshsearch::stats

@@ -24,9 +24,7 @@ TraceRecorder::TraceRecorder(std::string engine)
     : engine_(std::move(engine)), epoch_(std::chrono::steady_clock::now()) {}
 
 double TraceRecorder::wall_now_us() const {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
+  return util::wall_us_since(epoch_);
 }
 
 void TraceRecorder::count(Primitive prim, double p, double steps,

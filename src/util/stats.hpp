@@ -12,12 +12,21 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 namespace meshsearch::util {
+
+/// Wall-clock microseconds elapsed since `t0` on the steady clock — the
+/// unit every wall histogram in the repo records.
+inline double wall_us_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 /// HDR-style log-bucketed histogram over non-negative doubles (typically
 /// wall-clock microseconds). Buckets are geometric with kSubBuckets buckets

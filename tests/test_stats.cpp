@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -204,17 +205,23 @@ TEST(StatsRegistry, ResetZeroesValuesKeepsRegistrations) {
 TEST(TraceMetrics, TenThousandMetricsKeepOrderAndOverwrite) {
   meshsearch::trace::TraceRecorder rec("test");
   constexpr int kN = 10000;
+  // "m<i>", built by append: `"m" + std::to_string(i)` trips a g++ 12
+  // -Wrestrict false positive under -O2.
+  const auto name = [](int i) {
+    std::string s = "m";
+    s += std::to_string(i);
+    return s;
+  };
   for (int i = 0; i < kN; ++i)
-    rec.metric("m" + std::to_string(i), static_cast<double>(i));
+    rec.metric(name(i), static_cast<double>(i));
   // Overwrite every metric once — the old implementation scanned the whole
   // vector per call, turning this loop quadratic.
   for (int i = 0; i < kN; ++i)
-    rec.metric("m" + std::to_string(i), static_cast<double>(2 * i));
+    rec.metric(name(i), static_cast<double>(2 * i));
   const auto metrics = rec.metrics();
   ASSERT_EQ(metrics.size(), static_cast<std::size_t>(kN));
   for (int i : {0, 1, 4999, 9999}) {
-    EXPECT_EQ(metrics[static_cast<std::size_t>(i)].name,
-              "m" + std::to_string(i));
+    EXPECT_EQ(metrics[static_cast<std::size_t>(i)].name, name(i));
     EXPECT_DOUBLE_EQ(metrics[static_cast<std::size_t>(i)].value, 2.0 * i);
   }
 }

@@ -13,6 +13,7 @@
 
 #include "datastruct/kary_tree.hpp"
 #include "datastruct/workloads.hpp"
+#include "mesh/fault.hpp"
 #include "multisearch/query.hpp"
 #include "multisearch/sequential.hpp"
 #include "multisearch/setup.hpp"
@@ -772,7 +773,8 @@ TEST(StreamQueue, PopUptoNeverCoalescesAcrossGenerations) {
   PendingBatch failed;
   failed.indices = {10, 11, 12};
   failed.replans = 1;
-  src.requeue_split_front(failed, 8);  // one piece at generation 2
+  // One piece at generation 2.
+  src.requeue_split(failed, 8, RequeueSide::kFront);
   src.enqueue({20, 21});               // fresh arrival at generation 0
   // A wide slice stops at the generation boundary: mixing would let the
   // fresh batch inherit the retried batch's shrunken retry budget.
@@ -790,7 +792,8 @@ TEST(StreamQueue, RequeueSplitFrontPreservesOrderAndBumpsGeneration) {
   PendingBatch failed;
   failed.indices = {0, 1, 2, 3, 4};
   failed.replans = 0;
-  src.requeue_split_front(failed, 2);  // pieces {0,1} {2,3} {4} go FIRST
+  // Pieces {0,1} {2,3} {4} go FIRST.
+  src.requeue_split(failed, 2, RequeueSide::kFront);
   EXPECT_EQ(src.pending_queries(), 7u);
   EXPECT_EQ(src.front_replans(), 1u);
   const auto a = src.pop();
@@ -813,7 +816,7 @@ TEST(StreamQueue, RequeueSplitBackAppendsAfterPendingWork) {
   PendingBatch failed;
   failed.indices = {0, 1, 2};
   failed.replans = 2;
-  src.requeue_split_back(failed, 2);
+  src.requeue_split(failed, 2, RequeueSide::kBack);
   EXPECT_EQ(src.front_replans(), 0u);
   EXPECT_EQ(src.pop().indices, (std::vector<std::uint32_t>{50, 51}));
   const auto p1 = src.pop();
@@ -823,6 +826,175 @@ TEST(StreamQueue, RequeueSplitBackAppendsAfterPendingWork) {
   EXPECT_EQ(p1.replans, 3u);
   EXPECT_EQ(p2.replans, 3u);
   EXPECT_TRUE(src.empty());
+}
+
+// ---------------------------------------------------------------------------
+// execute_batch, the batch-execution path StreamScheduler and the service
+// share, driven by a scripted fake engine so every branch is reachable:
+// including FaultExhaustedError with no plan armed, which neither scheduler
+// can produce (each checks the same plan it bound to its engine).
+// ---------------------------------------------------------------------------
+
+/// Fake engine: attempt k fails iff fail_script[k] (true past the script's
+/// end = `fail_rest`). A failing attempt first scribbles over its batch, so
+/// a leaked partial result would show in the stream. An answering attempt
+/// sets result = 100 + qid.
+struct ScriptedEngine {
+  std::size_t cap = 8;
+  std::vector<bool> fail_script;
+  bool fail_rest = false;
+  std::vector<std::vector<std::int32_t>> seen_qids;  ///< per attempt
+
+  std::size_t capacity() const { return cap; }
+  BatchReport run_batch(std::vector<Query>& batch) {
+    const std::size_t k = seen_qids.size();
+    seen_qids.emplace_back();
+    for (const auto& q : batch) seen_qids.back().push_back(q.qid);
+    const bool fail = k < fail_script.size() ? fail_script[k] : fail_rest;
+    for (auto& q : batch) q.result = fail ? -7 : 100 + q.qid;
+    if (fail) throw mesh::FaultExhaustedError("scripted fault");
+    BatchReport rep;
+    rep.size = batch.size();
+    rep.visits = 3 * batch.size();
+    rep.run.steps = 10.0;
+    return rep;
+  }
+};
+
+mesh::FaultConfig executor_fault_config(int max_replans) {
+  mesh::FaultConfig cfg;
+  cfg.seed = 5;
+  cfg.p_phase = 0.5;  // armed; the fake engine decides the outcome anyway
+  cfg.degrade_factor = 0.5;
+  cfg.max_replans = max_replans;
+  return cfg;
+}
+
+TEST(StreamExecutor, FailedAttemptLeavesStreamAtCheckpoint) {
+  auto stream = make_queries(6);
+  const auto checkpoint = stream;
+  ScriptedEngine engine;
+  engine.fail_script = {true, false};
+  mesh::FaultPlan plan(executor_fault_config(3));
+  BatchSource queue;
+  std::vector<Query> scratch;
+  const PendingBatch cur{{1, 3, 5}, 0};
+
+  BatchReport rep;
+  EXPECT_EQ(execute_batch(engine, &plan, stream, cur, queue,
+                          RequeueSide::kBack, scratch, rep),
+            BatchOutcome::kRequeued);
+  // The engine ran on a gathered copy, in index order; its scribbles on
+  // that copy never reached the stream.
+  ASSERT_EQ(engine.seen_qids.size(), 1u);
+  EXPECT_EQ(engine.seen_qids[0], (std::vector<std::int32_t>{1, 3, 5}));
+  EXPECT_EQ(diff_outcomes(outcomes(checkpoint), outcomes(stream)), "");
+  EXPECT_FALSE(rep.degraded);
+
+  // The requeued piece answers, and only its positions change.
+  const PendingBatch retry = queue.pop();
+  BatchReport ok;
+  EXPECT_EQ(execute_batch(engine, &plan, stream, retry, queue,
+                          RequeueSide::kBack, scratch, ok),
+            BatchOutcome::kAnswered);
+  EXPECT_EQ(ok.size, 3u);
+  EXPECT_EQ(ok.visits, 9u);
+  EXPECT_EQ(ok.replans, 1u);
+  for (std::size_t i = 0; i < stream.size(); ++i)
+    EXPECT_EQ(stream[i].result, i % 2 == 1 ? 100 + static_cast<int>(i)
+                                           : checkpoint[i].result)
+        << "position " << i;
+}
+
+TEST(StreamExecutor, PiecesLandOnRequestedSideAtNextGeneration) {
+  for (const RequeueSide side : {RequeueSide::kBack, RequeueSide::kFront}) {
+    auto stream = make_queries(8);
+    ScriptedEngine engine;
+    engine.fail_rest = true;
+    mesh::FaultPlan plan(executor_fault_config(3));
+    BatchSource queue;
+    queue.enqueue({50, 51});
+    std::vector<Query> scratch;
+    const PendingBatch cur{{0, 1, 2, 3, 4, 5, 6, 7}, 1};
+
+    BatchReport rep;
+    ASSERT_EQ(execute_batch(engine, &plan, stream, cur, queue, side, scratch,
+                            rep),
+              BatchOutcome::kRequeued);
+    // One degradation halves the surviving capacity: 8 -> pieces of 4.
+    EXPECT_EQ(plan.stats().replanned_batches, 1u);
+    EXPECT_EQ(queue.pending_queries(), 10u);
+    std::vector<PendingBatch> order;
+    while (!queue.empty()) order.push_back(queue.pop());
+    ASSERT_EQ(order.size(), 3u);
+    const std::size_t first_piece = side == RequeueSide::kFront ? 0 : 1;
+    const PendingBatch& old = order[side == RequeueSide::kFront ? 2 : 0];
+    EXPECT_EQ(old.indices, (std::vector<std::uint32_t>{50, 51}));
+    EXPECT_EQ(old.replans, 0u);
+    EXPECT_EQ(order[first_piece].indices,
+              (std::vector<std::uint32_t>{0, 1, 2, 3}));
+    EXPECT_EQ(order[first_piece + 1].indices,
+              (std::vector<std::uint32_t>{4, 5, 6, 7}));
+    EXPECT_EQ(order[first_piece].replans, 2u);
+    EXPECT_EQ(order[first_piece + 1].replans, 2u);
+  }
+}
+
+TEST(StreamExecutor, BatchReportedDegradedAfterMaxReplans) {
+  auto stream = make_queries(4);
+  const auto checkpoint = stream;
+  ScriptedEngine engine;
+  engine.cap = 4;
+  engine.fail_rest = true;
+  mesh::FaultPlan plan(executor_fault_config(/*max_replans=*/2));
+  BatchSource queue;
+  queue.enqueue({0, 1, 2, 3});
+  std::vector<Query> scratch;
+
+  // Every attempt fails: generations 0 and 1 requeue ({0..3} -> {0,1}
+  // {2,3} -> four singletons), generation 2 reports each singleton degraded.
+  std::size_t requeued = 0;
+  std::vector<std::uint32_t> failed;
+  while (!queue.empty()) {
+    const PendingBatch cur = queue.pop();
+    BatchReport rep;
+    const BatchOutcome out = execute_batch(engine, &plan, stream, cur, queue,
+                                           RequeueSide::kBack, scratch, rep);
+    if (out == BatchOutcome::kRequeued) {
+      EXPECT_LT(cur.replans, 2u);
+      ++requeued;
+      continue;
+    }
+    ASSERT_EQ(out, BatchOutcome::kDegraded);
+    EXPECT_EQ(cur.replans, 2u);
+    EXPECT_TRUE(rep.degraded);
+    EXPECT_EQ(rep.replans, 2u);
+    EXPECT_EQ(rep.size, cur.indices.size());
+    failed.insert(failed.end(), cur.indices.begin(), cur.indices.end());
+  }
+  EXPECT_EQ(requeued, 3u);
+  std::sort(failed.begin(), failed.end());
+  EXPECT_EQ(failed, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(plan.stats().replanned_batches, 3u);
+  EXPECT_EQ(plan.stats().degraded_batches, 4u);
+  EXPECT_EQ(diff_outcomes(outcomes(checkpoint), outcomes(stream)), "");
+}
+
+TEST(StreamExecutor, FaultWithoutPlanPropagates) {
+  auto stream = make_queries(4);
+  const auto checkpoint = stream;
+  ScriptedEngine engine;
+  engine.fail_rest = true;
+  BatchSource queue;
+  std::vector<Query> scratch;
+  const PendingBatch cur{{0, 1, 2, 3}, 0};
+  BatchReport rep;
+  EXPECT_THROW(execute_batch(engine, /*fault=*/nullptr, stream, cur, queue,
+                             RequeueSide::kFront, scratch, rep),
+               mesh::FaultExhaustedError);
+  EXPECT_TRUE(queue.empty());  // nothing requeued
+  EXPECT_FALSE(rep.degraded);  // nothing reported
+  EXPECT_EQ(diff_outcomes(outcomes(checkpoint), outcomes(stream)), "");
 }
 
 }  // namespace
