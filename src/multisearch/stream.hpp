@@ -657,7 +657,8 @@ class StreamScheduler {
     // planning and the attempt beginning; latency = the attempt itself.
     // Histograms live on the result AND (via the recorder) in the
     // StatsRegistry; they never feed back into scheduling, so determinism
-    // is untouched.
+    // is untouched. Counts reach the recorder once, as the gauges
+    // record_stream_metrics() sets from res.slo.
     const auto wall_epoch = std::chrono::steady_clock::now();
     while (!work.empty()) {
       PendingBatch cur = work.pop();
@@ -681,7 +682,6 @@ class StreamScheduler {
                         RequeueSide::kBack, scratch, rep);
       if (outcome == BatchOutcome::kRequeued) {
         ++res.slo.replans;
-        if (rec != nullptr) rec->stat_add("stream.replans");
         continue;
       }
       if (rep.degraded)
@@ -694,8 +694,6 @@ class StreamScheduler {
       if (rec != nullptr) {
         rec->stat_observe("stream.batch_latency_us", rep.wall_us);
         rec->stat_observe("stream.queue_wait_us", rep.queue_wait_us);
-        rec->stat_add("stream.batches_run");
-        if (rep.degraded) rec->stat_add("stream.degraded_batches");
       }
       res.batches.push_back(rep);
     }

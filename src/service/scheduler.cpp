@@ -143,8 +143,6 @@ std::size_t ServiceScheduler::shed_expired(TenantSession& t) {
   // p99 target of deadline + one-batch-margin provably satisfiable.
   for (const auto idx : expired)
     resolve(t, idx, QueryState::kShed, clock_, /*dispatched=*/false);
-  if (trace_ != nullptr)
-    trace_->stat_add(trace::tenant_metric(t.name_, "shed"), expired.size());
   return expired.size();
 }
 
@@ -202,21 +200,12 @@ ServiceScheduler::ServeOutcome ServiceScheduler::serve_slice(
     try {
       breaker.admit(round_, engine.dataset(),
                     msearch::engine_kind_name(engine.kind()));
-      if (breaker.state() == BreakerState::kHalfOpen && trace_ != nullptr)
-        trace_->stat_add(trace::breaker_metric(breaker_id(engine), "probes"));
     } catch (const CircuitOpenError&) {
       // Fail fast: reported failed with ZERO charge — no engine work, no
       // retry-budget burn, no clock advance. Still never silent: every
       // ticket flips to kFailed and the completion callback fires.
       breaker.count_fail_fast(cur.indices.size());
       t.failed_fast_ += cur.indices.size();
-      if (trace_ != nullptr) {
-        trace_->stat_add(trace::breaker_metric(breaker_id(engine),
-                                               "fail_fast_queries"),
-                         cur.indices.size());
-        trace_->stat_add(trace::tenant_metric(t.name_, "failed_fast"),
-                         cur.indices.size());
-      }
       for (const auto idx : cur.indices)
         resolve(t, idx, QueryState::kFailed, clock_, /*dispatched=*/false);
       out.resolved += cur.indices.size();
@@ -240,31 +229,20 @@ ServiceScheduler::ServeOutcome ServiceScheduler::serve_slice(
     clock_ += (rep.inject + rep.run).steps;
     t.inject_ += rep.inject;
     t.run_ += rep.run;
-    if (breaker.record_success() && trace_ != nullptr)
-      trace_->stat_add(trace::breaker_metric(breaker_id(engine),
-                                             "recoveries"));
+    breaker.record_success();
   } else {
     out.faulted = true;
-    if (breaker.record_failure(round_) && trace_ != nullptr)
-      trace_->stat_add(trace::breaker_metric(breaker_id(engine), "trips"));
+    breaker.record_failure(round_);
     if (outcome == msearch::BatchOutcome::kRequeued) {
       ++t.replans_;
-      if (trace_ != nullptr)
-        trace_->stat_add(trace::tenant_metric(t.name_, "replans"));
       return out;
     }
     ++t.degraded_batches_;
   }
   ++t.batches_;
-  const double wall = util::wall_us_since(wall_begin);
-  t.batch_latency_us_.observe(wall);
-  if (trace_ != nullptr) {
+  if (trace_ != nullptr)
     trace_->stat_observe(trace::tenant_metric(t.name_, "batch_latency_us"),
-                         wall);
-    trace_->stat_add(trace::tenant_metric(t.name_, "batches_run"));
-    if (rep.degraded)
-      trace_->stat_add(trace::tenant_metric(t.name_, "degraded_batches"));
-  }
+                         util::wall_us_since(wall_begin));
   // A degraded batch is reported failed, never silently wrong: its tickets
   // stay at their checkpoint state and flip to kFailed.
   const QueryState state =
@@ -297,8 +275,6 @@ void ServiceScheduler::apply_ready_updates(TenantSession& t) {
       t.fault_->degrade();
       t.fault_->count_degraded_batch();
       ++t.degraded_refreshes_;
-      if (trace_ != nullptr)
-        trace_->stat_add(trace::tenant_metric(t.name_, "degraded_refreshes"));
       engine.bind_sinks(trace_, nullptr);
       rep = engine.refresh(req);
     }
@@ -309,12 +285,6 @@ void ServiceScheduler::apply_ready_updates(TenantSession& t) {
       ++t.incremental_refreshes_;
     else
       ++t.full_refreshes_;
-    if (trace_ != nullptr) {
-      trace_->stat_add(trace::tenant_metric(t.name_, "updates_applied"));
-      trace_->stat_add(trace::tenant_metric(
-          t.name_, rep.incremental ? "incremental_refreshes"
-                                   : "full_refreshes"));
-    }
   }
 }
 
@@ -329,10 +299,7 @@ std::size_t ServiceScheduler::pump() {
     std::size_t backlog = 0;
     for (const auto& t : tenants_) backlog += t->queue_.pending_queries();
     brownout = backlog > cfg_.brownout.watermark_queries;
-    if (brownout) {
-      ++brownout_rounds_;
-      if (trace_ != nullptr) trace_->stat_add("service.brownout.rounds");
-    }
+    if (brownout) ++brownout_rounds_;
   }
   std::size_t resolved = 0;
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
@@ -365,9 +332,6 @@ std::size_t ServiceScheduler::pump() {
       if (cfg_.brownout.capacity_scale < 1.0)
         cap_limit = scale_count(cap_limit, cfg_.brownout.capacity_scale);
       ++t.brownout_deprioritized_;
-      if (trace_ != nullptr)
-        trace_->stat_add(
-            trace::tenant_metric(t.name_, "brownout_deprioritized"));
     }
     deficit_[i] += static_cast<double>(quantum);
     while (!t.queue_.empty() && deficit_[i] >= 1.0) {
@@ -405,6 +369,7 @@ std::vector<TenantReport> ServiceScheduler::reports() const {
 
 void ServiceScheduler::export_metrics() const {
   if (trace_ == nullptr) return;
+  // The one place the service's counts reach the recorder, as gauges.
   // Deterministic counts and charges only — wall histograms already went
   // through stat_observe, keeping rec->metric() bit-identical across runs.
   const auto metric = [&](const TenantSession& t, const char* name,
@@ -416,6 +381,9 @@ void ServiceScheduler::export_metrics() const {
     metric(t, "submitted", static_cast<double>(t.stream_.size()));
     metric(t, "completed", static_cast<double>(t.completed_));
     metric(t, "failed_queries", static_cast<double>(t.failed_));
+    metric(t, "outstanding", static_cast<double>(t.outstanding_));
+    metric(t, "rejected_submissions",
+           static_cast<double>(t.rejected_submissions_));
     metric(t, "rejected_queries", static_cast<double>(t.rejected_queries_));
     metric(t, "rejected_backpressure",
            static_cast<double>(t.rejected_backpressure_));
@@ -431,6 +399,8 @@ void ServiceScheduler::export_metrics() const {
     metric(t, "incremental_refreshes",
            static_cast<double>(t.incremental_refreshes_));
     metric(t, "full_refreshes", static_cast<double>(t.full_refreshes_));
+    metric(t, "degraded_refreshes",
+           static_cast<double>(t.degraded_refreshes_));
     metric(t, "refresh_steps", t.refresh_.steps);
     metric(t, "charged_steps", (t.inject_ + t.run_ + t.refresh_).steps);
     if (t.fault_ != nullptr)

@@ -26,8 +26,8 @@
 // steps, see scheduler.hpp): queue_wait = admission -> attempt start,
 // latency = admission -> completion. Both are deterministic functions of the
 // submit/pump call sequence, so percentile tables built from them are safe
-// to pin in bench baselines. Wall-clock histograms ride alongside as
-// observability only.
+// to pin in bench baselines. The per-attempt wall latency is observability
+// only and lives in the trace recorder (tenant.<id>.batch_latency_us).
 #pragma once
 
 #include <cstdint>
@@ -160,8 +160,6 @@ struct TenantReport {
   /// Simulated-step SLO histograms — deterministic, baseline-safe.
   util::LogHistogram queue_wait_steps;  ///< admission -> attempt start
   util::LogHistogram latency_steps;     ///< admission -> completion
-  /// Wall-clock per-attempt latency — observability only.
-  util::LogHistogram batch_latency_us;
 
   mesh::Cost charged() const { return inject + run + refresh; }
 };
@@ -293,7 +291,6 @@ class TenantSession {
   mesh::Cost refresh_;
   util::LogHistogram queue_wait_steps_;
   util::LogHistogram latency_steps_;
-  util::LogHistogram batch_latency_us_;
 };
 
 }  // namespace meshsearch::service

@@ -1,302 +1,40 @@
 #include "trace/stats.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
-
-#include "util/check.hpp"
 
 namespace meshsearch::stats {
 
 namespace {
 
-std::uint64_t next_registry_uid() {
-  static std::atomic<std::uint64_t> uid{1};
-  return uid.fetch_add(1, std::memory_order_relaxed);
+/// The entry named `name`, appended on first use. Callers hold the mutex.
+template <class Entry, class Map>
+Entry& entry(std::vector<Entry>& entries, Map& ids, std::string_view name) {
+  if (const auto it = ids.find(name); it != ids.end())
+    return entries[it->second];
+  ids.emplace(std::string(name), entries.size());
+  Entry& e = entries.emplace_back();
+  e.name = name;
+  return e;
 }
-
-/// Tiny per-thread cache of (registry uid -> shard). Registries are keyed by
-/// a process-unique uid, never by address, so a cache entry can never
-/// resolve to a shard of a destroyed-and-reallocated registry. Bounded ring:
-/// an evicted entry just costs one mutex hit on the next update.
-struct TlsShardCache {
-  static constexpr std::size_t kEntries = 8;
-  std::array<std::uint64_t, kEntries> uid{};
-  std::array<void*, kEntries> shard{};
-  std::size_t next = 0;
-
-  void* find(std::uint64_t u) const {
-    for (std::size_t i = 0; i < kEntries; ++i)
-      if (uid[i] == u) return shard[i];
-    return nullptr;
-  }
-  void put(std::uint64_t u, void* s) {
-    uid[next] = u;
-    shard[next] = s;
-    next = (next + 1) % kEntries;
-  }
-};
-
-thread_local TlsShardCache tls_shards;
 
 }  // namespace
 
-/// One thread's slice of every counter and histogram. Slots live in
-/// lazily-published fixed-size blocks so registering new instruments never
-/// moves existing slots (the owning thread allocates; snapshot readers load
-/// block pointers with acquire).
-struct StatsRegistry::Shard {
-  struct CounterBlock {
-    std::array<std::atomic<std::uint64_t>, kBlockSlots> v{};
-  };
-  struct HistSlot {
-    std::array<std::atomic<std::uint64_t>, util::LogHistogram::kBucketCount>
-        buckets{};
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<double> sum{0};
-    std::atomic<double> min{0};
-    std::atomic<double> max{0};
-  };
-  struct HistBlock {
-    std::array<HistSlot, kBlockSlots> v{};
-  };
-
-  std::array<std::atomic<CounterBlock*>, kMaxBlocks> counter_blocks{};
-  std::array<std::atomic<HistBlock*>, kMaxBlocks> hist_blocks{};
-  std::vector<std::unique_ptr<CounterBlock>> counter_owner;
-  std::vector<std::unique_ptr<HistBlock>> hist_owner;
-  std::mutex alloc_mu;  ///< serializes block publication (cold path)
-
-  std::atomic<std::uint64_t>* counter_slot(std::uint32_t id, bool create) {
-    const std::size_t b = id / kBlockSlots;
-    if (b >= kMaxBlocks) return nullptr;
-    CounterBlock* blk = counter_blocks[b].load(std::memory_order_acquire);
-    if (blk == nullptr) {
-      if (!create) return nullptr;
-      const std::lock_guard<std::mutex> lock(alloc_mu);
-      blk = counter_blocks[b].load(std::memory_order_acquire);
-      if (blk == nullptr) {
-        auto owned = std::make_unique<CounterBlock>();
-        blk = owned.get();
-        counter_owner.push_back(std::move(owned));
-        counter_blocks[b].store(blk, std::memory_order_release);
-      }
-    }
-    return &blk->v[id % kBlockSlots];
-  }
-
-  HistSlot* hist_slot(std::uint32_t id, bool create) {
-    const std::size_t b = id / kBlockSlots;
-    if (b >= kMaxBlocks) return nullptr;
-    HistBlock* blk = hist_blocks[b].load(std::memory_order_acquire);
-    if (blk == nullptr) {
-      if (!create) return nullptr;
-      const std::lock_guard<std::mutex> lock(alloc_mu);
-      blk = hist_blocks[b].load(std::memory_order_acquire);
-      if (blk == nullptr) {
-        auto owned = std::make_unique<HistBlock>();
-        blk = owned.get();
-        hist_owner.push_back(std::move(owned));
-        hist_blocks[b].store(blk, std::memory_order_release);
-      }
-    }
-    return &blk->v[id % kBlockSlots];
-  }
-};
-
-StatsRegistry::StatsRegistry(bool enabled)
-    : enabled_(enabled), uid_(next_registry_uid()) {}
-
-StatsRegistry::~StatsRegistry() = default;
-
-std::uint32_t StatsRegistry::intern(std::vector<std::string>& names,
-                                    NameMap& ids, std::string_view name) {
-  // Callers hold mu_.
-  const auto it = ids.find(name);
-  if (it != ids.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(names.size());
-  MS_CHECK_MSG(id < kBlockSlots * kMaxBlocks,
-               "StatsRegistry instrument limit exceeded");
-  names.emplace_back(name);
-  ids.emplace(names.back(), id);
-  return id;
-}
-
-StatsRegistry::Counter StatsRegistry::counter(std::string_view name) {
-  if (!enabled()) return Counter{};
+void StatsRegistry::set(std::string_view name, double value) {
+  if (!enabled()) return;
   const std::lock_guard<std::mutex> lock(mu_);
-  return Counter{this, intern(counter_names_, counter_ids_, name)};
+  entry(data_.gauges, gauge_ids_, name).value = value;
 }
 
-StatsRegistry::Gauge StatsRegistry::gauge(std::string_view name) {
-  if (!enabled()) return Gauge{};
+void StatsRegistry::observe(std::string_view name, double value) {
+  if (!enabled()) return;
   const std::lock_guard<std::mutex> lock(mu_);
-  return Gauge{this, intern(gauge_names_, gauge_ids_, name)};
-}
-
-StatsRegistry::Histogram StatsRegistry::histogram(std::string_view name) {
-  if (!enabled()) return Histogram{};
-  const std::lock_guard<std::mutex> lock(mu_);
-  return Histogram{this, intern(hist_names_, hist_ids_, name)};
-}
-
-StatsRegistry::Shard* StatsRegistry::shard_for_this_thread() {
-  if (auto* cached = tls_shards.find(uid_))
-    return static_cast<Shard*>(cached);
-  const std::lock_guard<std::mutex> lock(mu_);
-  // Re-check by thread id: a TLS-cache eviction must not mint a second
-  // shard for the same thread (sums would still merge, but memory would
-  // grow with every eviction).
-  Shard*& s = shard_by_thread_[std::this_thread::get_id()];
-  if (s == nullptr) {
-    shards_.push_back(std::make_unique<Shard>());
-    s = shards_.back().get();
-  }
-  tls_shards.put(uid_, s);
-  return s;
-}
-
-void StatsRegistry::Counter::add(std::uint64_t delta) const {
-  if (reg_ == nullptr || !reg_->enabled() || delta == 0) return;
-  auto* slot = reg_->shard_for_this_thread()->counter_slot(id_, true);
-  if (slot != nullptr) slot->fetch_add(delta, std::memory_order_relaxed);
-}
-
-std::atomic<double>* StatsRegistry::gauge_slot(std::uint32_t id, bool create) {
-  const std::size_t b = id / kBlockSlots;
-  if (b >= kMaxBlocks) return nullptr;
-  GaugeBlock* blk = gauge_blocks_[b].load(std::memory_order_acquire);
-  if (blk == nullptr) {
-    if (!create) return nullptr;
-    const std::lock_guard<std::mutex> lock(mu_);
-    blk = gauge_blocks_[b].load(std::memory_order_acquire);
-    if (blk == nullptr) {
-      auto owned = std::make_unique<GaugeBlock>();
-      blk = owned.get();
-      gauge_block_owner_.push_back(std::move(owned));
-      gauge_blocks_[b].store(blk, std::memory_order_release);
-    }
-  }
-  return &blk->v[id % kBlockSlots];
-}
-
-void StatsRegistry::Gauge::set(double value) const {
-  if (reg_ == nullptr || !reg_->enabled()) return;
-  auto* slot = reg_->gauge_slot(id_, true);
-  if (slot != nullptr) slot->store(value, std::memory_order_relaxed);
-}
-
-void StatsRegistry::Histogram::observe(double value) const {
-  if (reg_ == nullptr || !reg_->enabled()) return;
-  auto* slot = reg_->shard_for_this_thread()->hist_slot(id_, true);
-  if (slot == nullptr) return;
-  if (!(value >= 0)) value = 0;  // match LogHistogram's clamp
-  slot->buckets[util::LogHistogram::bucket_index(value)].fetch_add(
-      1, std::memory_order_relaxed);
-  const std::uint64_t prev = slot->count.fetch_add(1, std::memory_order_relaxed);
-  slot->sum.fetch_add(value, std::memory_order_relaxed);
-  if (prev == 0) {
-    // First observation on this shard seeds min/max; the shard is only
-    // written by this thread, so plain stores suffice for correctness and
-    // the atomics keep snapshot readers defined.
-    slot->min.store(value, std::memory_order_relaxed);
-    slot->max.store(value, std::memory_order_relaxed);
-  } else {
-    if (value < slot->min.load(std::memory_order_relaxed))
-      slot->min.store(value, std::memory_order_relaxed);
-    if (value > slot->max.load(std::memory_order_relaxed))
-      slot->max.store(value, std::memory_order_relaxed);
-  }
+  entry(data_.histograms, hist_ids_, name).hist.observe(value);
 }
 
 Snapshot StatsRegistry::snapshot() const {
-  Snapshot out;
-  std::vector<std::string> cnames, gnames, hnames;
-  std::vector<Shard*> shards;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    cnames = counter_names_;
-    gnames = gauge_names_;
-    hnames = hist_names_;
-    shards.reserve(shards_.size());
-    for (const auto& s : shards_) shards.push_back(s.get());
-  }
-  out.counters.reserve(cnames.size());
-  for (std::uint32_t id = 0; id < cnames.size(); ++id) {
-    CounterSnapshot c;
-    c.name = cnames[id];
-    for (Shard* s : shards)
-      if (auto* slot = s->counter_slot(id, false))
-        c.value += slot->load(std::memory_order_relaxed);
-    out.counters.push_back(std::move(c));
-  }
-  out.gauges.reserve(gnames.size());
-  for (std::uint32_t id = 0; id < gnames.size(); ++id) {
-    GaugeSnapshot g;
-    g.name = gnames[id];
-    if (auto* slot = const_cast<StatsRegistry*>(this)->gauge_slot(id, false))
-      g.value = slot->load(std::memory_order_relaxed);
-    out.gauges.push_back(std::move(g));
-  }
-  out.histograms.reserve(hnames.size());
-  for (std::uint32_t id = 0; id < hnames.size(); ++id) {
-    HistogramSnapshot h;
-    h.name = hnames[id];
-    double sum = 0;
-    double mn = 0, mx = 0;
-    bool any = false;
-    for (Shard* s : shards) {
-      auto* slot = s->hist_slot(id, false);
-      if (slot == nullptr) continue;
-      if (slot->count.load(std::memory_order_relaxed) == 0) continue;
-      for (std::size_t b = 0; b < util::LogHistogram::kBucketCount; ++b) {
-        const auto n = slot->buckets[b].load(std::memory_order_relaxed);
-        if (n != 0) h.hist.add_bucket(b, n);
-      }
-      sum += slot->sum.load(std::memory_order_relaxed);
-      const double smin = slot->min.load(std::memory_order_relaxed);
-      const double smax = slot->max.load(std::memory_order_relaxed);
-      if (!any) {
-        mn = smin;
-        mx = smax;
-        any = true;
-      } else {
-        mn = std::min(mn, smin);
-        mx = std::max(mx, smax);
-      }
-    }
-    if (any) h.hist.override_moments(sum, mn, mx);
-    out.histograms.push_back(std::move(h));
-  }
-  return out;
-}
-
-std::size_t StatsRegistry::gauge_count() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return gauge_names_.size();
-}
-
-std::size_t StatsRegistry::shard_count() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return shards_.size();
-}
-
-void StatsRegistry::reset() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& s : shards_) {
-    for (auto& owned : s->counter_owner)
-      for (auto& v : owned->v) v.store(0, std::memory_order_relaxed);
-    for (auto& owned : s->hist_owner)
-      for (auto& slot : owned->v) {
-        for (auto& b : slot.buckets) b.store(0, std::memory_order_relaxed);
-        slot.count.store(0, std::memory_order_relaxed);
-        slot.sum.store(0, std::memory_order_relaxed);
-        slot.min.store(0, std::memory_order_relaxed);
-        slot.max.store(0, std::memory_order_relaxed);
-      }
-  }
-  for (auto& owned : gauge_block_owner_)
-    for (auto& v : owned->v) v.store(0, std::memory_order_relaxed);
+  return data_;
 }
 
 bool StatsRegistry::env_enabled() {
@@ -309,18 +47,6 @@ bool StatsRegistry::env_enabled() {
 StatsRegistry& StatsRegistry::global() {
   static StatsRegistry reg(env_enabled());
   return reg;
-}
-
-ScopedWallTimer::ScopedWallTimer(StatsRegistry& reg, std::string_view name) {
-  if (!reg.enabled()) return;
-  hist_ = reg.histogram(name);
-  armed_ = true;
-  begin_ = std::chrono::steady_clock::now();
-}
-
-ScopedWallTimer::~ScopedWallTimer() {
-  if (!armed_) return;
-  hist_.observe(util::wall_us_since(begin_));
 }
 
 }  // namespace meshsearch::stats

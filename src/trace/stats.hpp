@@ -1,45 +1,38 @@
-// Runtime observability: a lock-light registry of named monotonic counters,
-// gauges, and log-bucketed wall-clock histograms.
+// Runtime observability: a locked registry of named gauges and log-bucketed
+// wall-clock histograms.
 //
 // The charged-cost trace layer (trace/trace.hpp) records what the paper's
-// model PREDICTS; this registry measures what the machine actually DOES —
-// wall-clock phase durations, per-batch stream latencies, fault-recovery
-// counters. The two ride side by side in every exporter, but only charged
-// costs, outcomes, and attribution are part of the 1-vs-8-thread bit-identity
-// contract (DESIGN.md §5, decision 13): wall-clock values are observability
-// only and may differ between runs.
+// model PREDICTS; this registry holds what a run reports beside it — the
+// named metrics (TraceRecorder::metric) and wall-clock phase and batch
+// latencies (TraceRecorder::stat_observe). Every count has one owner in
+// code (a TenantSession field, CircuitBreaker::counters(), StreamResult::slo)
+// and reaches the registry once, as a gauge. Only gauges, charged costs,
+// outcomes and attribution are part of the 1-vs-8-thread bit-identity
+// contract (DESIGN.md §5, decision 13): wall-clock histograms are
+// observability only and may differ between runs.
 //
 // Design:
-//   * Counters and histograms are sharded per thread: an update touches only
-//     the calling thread's shard (relaxed atomics, no lock), and snapshot()
-//     merges all shards. Gauges are registry-level (set-semantics does not
-//     shard) — one relaxed atomic store per set.
-//   * Handles (Counter/Gauge/Histogram) resolve the name once under the
-//     registry mutex and are then lock-free to use; create them outside hot
-//     loops. The by-name convenience calls (add/set/observe) re-resolve per
-//     call and are meant for phase-end granularity.
+//   * One mutex guards both instrument kinds. Each kind is an
+//     insertion-ordered vector found through a name map, so snapshot() is a
+//     copy in registration order (deterministic given a deterministic
+//     registration sequence). Updates are phase-end granularity: one lock
+//     per set/observe.
 //   * A disabled registry does NO work: updates return after one relaxed
-//     load, no shard is ever allocated, snapshot() is empty. Disabled-mode
-//     cost is one branch — near-zero overhead, verified by
-//     tests/test_stats.cpp.
+//     load, nothing is registered, snapshot() is empty.
 //   * Percentile math is util::LogHistogram (util/stats.hpp) — the single
 //     implementation shared with the bench harness and SLO reports.
 //
 // The process-global registry (stats::global()) starts enabled iff the
 // MESHSEARCH_STATS environment variable is truthy ("1", "true", "on", ...);
-// TraceRecorder mirrors its observations there so one env flag lights up
-// end-of-run summaries (examples/example_main.hpp) without any wiring.
+// TraceRecorder mirrors its gauges and histograms there so one env flag
+// lights up end-of-run summaries (examples/example_main.hpp) without any
+// wiring.
 #pragma once
 
-#include <array>
 #include <atomic>
-#include <chrono>
-#include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -47,12 +40,7 @@
 
 namespace meshsearch::stats {
 
-/// Merged, point-in-time view of a registry. Entries appear in registration
-/// order (deterministic given a deterministic registration sequence).
-struct CounterSnapshot {
-  std::string name;
-  std::uint64_t value = 0;
-};
+/// Point-in-time view of a registry; entries appear in registration order.
 struct GaugeSnapshot {
   std::string name;
   double value = 0;
@@ -62,15 +50,13 @@ struct HistogramSnapshot {
   util::LogHistogram hist;
 };
 struct Snapshot {
-  std::vector<CounterSnapshot> counters;
   std::vector<GaugeSnapshot> gauges;
   std::vector<HistogramSnapshot> histograms;
 };
 
 class StatsRegistry {
  public:
-  explicit StatsRegistry(bool enabled = true);
-  ~StatsRegistry();
+  explicit StatsRegistry(bool enabled = true) : enabled_(enabled) {}
   StatsRegistry(const StatsRegistry&) = delete;
   StatsRegistry& operator=(const StatsRegistry&) = delete;
 
@@ -79,74 +65,14 @@ class StatsRegistry {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  /// Cheap copyable handles. A handle from a disabled registry (or a
-  /// default-constructed one) is inert. Handles stay valid for the life of
-  /// the registry; create them once, outside hot loops.
-  class Counter {
-   public:
-    Counter() = default;
-    void add(std::uint64_t delta = 1) const;
+  /// Set (registering on first use) the gauge `name`.
+  void set(std::string_view name, double value);
+  /// Record one observation into the histogram `name`.
+  void observe(std::string_view name, double value);
 
-   private:
-    friend class StatsRegistry;
-    Counter(StatsRegistry* r, std::uint32_t id) : reg_(r), id_(id) {}
-    StatsRegistry* reg_ = nullptr;
-    std::uint32_t id_ = 0;
-  };
-  class Gauge {
-   public:
-    Gauge() = default;
-    void set(double value) const;
-
-   private:
-    friend class StatsRegistry;
-    Gauge(StatsRegistry* r, std::uint32_t id) : reg_(r), id_(id) {}
-    StatsRegistry* reg_ = nullptr;
-    std::uint32_t id_ = 0;
-  };
-  class Histogram {
-   public:
-    Histogram() = default;
-    void observe(double value) const;
-
-   private:
-    friend class StatsRegistry;
-    Histogram(StatsRegistry* r, std::uint32_t id) : reg_(r), id_(id) {}
-    StatsRegistry* reg_ = nullptr;
-    std::uint32_t id_ = 0;
-  };
-
-  /// Resolve (registering on first use) a named instrument. Returns an inert
-  /// handle while the registry is disabled — no allocation happens.
-  Counter counter(std::string_view name);
-  Gauge gauge(std::string_view name);
-  Histogram histogram(std::string_view name);
-
-  /// By-name conveniences (resolve + update in one call).
-  void add(std::string_view name, std::uint64_t delta = 1) {
-    counter(name).add(delta);
-  }
-  void set(std::string_view name, double value) { gauge(name).set(value); }
-  void observe(std::string_view name, double value) {
-    histogram(name).observe(value);
-  }
-
-  /// Merged view across all thread shards, registration order. Safe to call
-  /// concurrently with updates (values are merged with relaxed reads; a
-  /// concurrent snapshot sees each update either fully or not at all per
-  /// instrument, which is all the exporters need).
+  /// Copy of every instrument, registration order. Safe to call
+  /// concurrently with updates.
   Snapshot snapshot() const;
-
-  /// Number of gauges set via metric-style updates (exporter ordering aid).
-  std::size_t gauge_count() const;
-
-  /// Per-thread shards allocated so far — 0 until the first enabled counter
-  /// or histogram update; stays 0 forever on a disabled registry (the
-  /// disabled-mode zero-allocation check).
-  std::size_t shard_count() const;
-
-  /// Zero every value, keep registrations and shards.
-  void reset();
 
   /// Process-wide registry, initially enabled iff MESHSEARCH_STATS is truthy.
   static StatsRegistry& global();
@@ -155,14 +81,6 @@ class StatsRegistry {
   static bool env_enabled();
 
  private:
-  struct Shard;
-  friend class Counter;
-  friend class Gauge;
-  friend class Histogram;
-
-  static constexpr std::size_t kBlockSlots = 64;
-  static constexpr std::size_t kMaxBlocks = 256;  ///< 16384 ids per kind
-
   struct NameHash {
     using is_transparent = void;
     std::size_t operator()(std::string_view s) const {
@@ -170,46 +88,12 @@ class StatsRegistry {
     }
   };
   using NameMap =
-      std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>>;
-
-  std::uint32_t intern(std::vector<std::string>& names, NameMap& ids,
-                       std::string_view name);
-  Shard* shard_for_this_thread();
+      std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>;
 
   std::atomic<bool> enabled_;
-  const std::uint64_t uid_;  ///< distinguishes registries in the TLS cache
-
-  mutable std::mutex mu_;  ///< guards registration + shard list
-  std::vector<std::string> counter_names_, gauge_names_, hist_names_;
-  NameMap counter_ids_, gauge_ids_, hist_ids_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::unordered_map<std::thread::id, Shard*> shard_by_thread_;
-
-  /// Gauges: registry-level atomic<double> slots, block-allocated so
-  /// existing slots never move while new gauges register.
-  struct GaugeBlock {
-    std::array<std::atomic<double>, kBlockSlots> v{};
-  };
-  std::array<std::atomic<GaugeBlock*>, kMaxBlocks> gauge_blocks_{};
-  std::vector<std::unique_ptr<GaugeBlock>> gauge_block_owner_;
-
-  std::atomic<double>* gauge_slot(std::uint32_t id, bool create);
-};
-
-/// RAII wall-clock timer: observes the elapsed microseconds into
-/// `registry.histogram(name)` at scope exit. Skips the clock reads entirely
-/// when the registry is disabled at construction.
-class ScopedWallTimer {
- public:
-  ScopedWallTimer(StatsRegistry& reg, std::string_view name);
-  ScopedWallTimer(const ScopedWallTimer&) = delete;
-  ScopedWallTimer& operator=(const ScopedWallTimer&) = delete;
-  ~ScopedWallTimer();
-
- private:
-  StatsRegistry::Histogram hist_;
-  bool armed_ = false;
-  std::chrono::steady_clock::time_point begin_;
+  mutable std::mutex mu_;  ///< guards data_ and both name maps
+  Snapshot data_;
+  NameMap gauge_ids_, hist_ids_;
 };
 
 }  // namespace meshsearch::stats

@@ -765,7 +765,8 @@ TEST(ServiceUpdates, FaultExhaustedRefreshDegradesAndStillApplies) {
   auto engine = service::make_partitioned_engine(
       EngineKind::kAlg2Alpha, tree.graph(), tree.alpha_splitting(),
       tree.alpha_splitting(), tree.rank_count(), m, shape);
-  service::ServiceScheduler svc;
+  trace::TraceRecorder rec("counting");
+  service::ServiceScheduler svc({}, &rec);
   service::TenantQuota quota;
   quota.max_outstanding = 4 * shape.size();
   service::TenantSession& t = svc.add_tenant("acme", *engine, quota);
@@ -787,6 +788,11 @@ TEST(ServiceUpdates, FaultExhaustedRefreshDegradesAndStillApplies) {
   const service::TenantReport rep = t.report();
   EXPECT_EQ(rep.degraded_refreshes, 1u);
   EXPECT_EQ(rep.incremental_refreshes, 1u);
+  // The count reaches the recorder once, as the exported gauge.
+  svc.export_metrics();
+  std::map<std::string, double> metrics;
+  for (const auto& mt : rec.metrics()) metrics[mt.name] = mt.value;
+  EXPECT_EQ(metrics.at("tenant.acme.degraded_refreshes"), 1.0);
 
   // And the engine serves the mutated structure correctly afterwards.
   t.set_fault(nullptr);

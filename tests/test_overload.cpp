@@ -506,6 +506,8 @@ TEST(Overload, OverloadPipelineBitIdenticalAcrossThreadsAndStats) {
     double clock_steps = 0;
     std::uint64_t brownout_rounds = 0;
     std::map<std::string, double> metrics;
+    std::vector<TenantReport> reports;
+    BreakerCounters breaker;
   };
   const auto run = [&] {
     trace::TraceRecorder rec("counting");
@@ -572,6 +574,8 @@ TEST(Overload, OverloadPipelineBitIdenticalAcrossThreadsAndStats) {
       }
     r.clock_steps = svc.now_steps();
     r.brownout_rounds = svc.brownout_rounds();
+    r.reports = svc.reports();
+    r.breaker = engine->breaker().counters();
     for (const auto& mt : rec.metrics()) r.metrics[mt.name] = mt.value;
     r.metrics["harness.backpressured"] = static_cast<double>(backpressured);
     return r;
@@ -603,6 +607,48 @@ TEST(Overload, OverloadPipelineBitIdenticalAcrossThreadsAndStats) {
             0.0);
   EXPECT_GT(serial.metrics.at("service.brownout_rounds"), 0.0);
   EXPECT_GT(serial.metrics.at("tenant.bolt.completed"), 0.0);
+
+  // Gauge parity: each count has one owner (the TenantReport fields, the
+  // breaker's counters) and reaches the recorder as a gauge of equal value.
+  ASSERT_EQ(serial.reports.size(), 2u);
+  for (const TenantReport& rep : serial.reports) {
+    const std::pair<const char*, std::size_t> fields[] = {
+        {"submitted", rep.submitted},
+        {"completed", rep.completed},
+        {"failed_queries", rep.failed_queries},
+        {"outstanding", rep.outstanding},
+        {"rejected_submissions", rep.rejected_submissions},
+        {"rejected_queries", rep.rejected_queries},
+        {"rejected_backpressure", rep.rejected_backpressure},
+        {"shed", rep.shed},
+        {"failed_fast", rep.failed_fast},
+        {"brownout_deprioritized", rep.brownout_deprioritized},
+        {"batches", rep.batches},
+        {"degraded_batches", rep.degraded_batches},
+        {"replans", rep.replans},
+        {"updates_submitted", rep.updates_submitted},
+        {"updates_applied", rep.updates_applied},
+        {"incremental_refreshes", rep.incremental_refreshes},
+        {"full_refreshes", rep.full_refreshes},
+        {"degraded_refreshes", rep.degraded_refreshes},
+    };
+    for (const auto& [name, value] : fields)
+      EXPECT_EQ(serial.metrics.at(trace::tenant_metric(rep.tenant, name)),
+                static_cast<double>(value))
+          << rep.tenant << " " << name;
+  }
+  const BreakerCounters& bc = serial.breaker;
+  const std::pair<const char*, std::uint64_t> breaker_fields[] = {
+      {"trips", bc.trips},
+      {"probes", bc.probes},
+      {"recoveries", bc.recoveries},
+      {"fail_fast_batches", bc.fail_fast_batches},
+      {"fail_fast_queries", bc.fail_fast_queries},
+  };
+  for (const auto& [name, value] : breaker_fields)
+    EXPECT_EQ(serial.metrics.at(trace::breaker_metric("books/alg2-alpha", name)),
+              static_cast<double>(value))
+        << name;
 }
 
 // ---------------------------------------------------------------------------

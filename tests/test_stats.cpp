@@ -1,6 +1,6 @@
 // Observability-layer tests: LogHistogram bucket math and percentiles
-// (against a sorted-vector oracle), StatsRegistry sharding and snapshot
-// determinism, disabled-mode zero-allocation, concurrent updates, the
+// (against a sorted-vector oracle), StatsRegistry round trip and snapshot
+// determinism, disabled mode, exact merge of concurrent updates, the
 // registry-backed TraceRecorder::metric() (the O(n^2) overwrite fix), the
 // JSON reader/writer round trip, and the bench baseline comparison logic.
 #include <gtest/gtest.h>
@@ -113,19 +113,18 @@ TEST(LogHistogram, MergeEqualsInterleavedObservation) {
 // ---------------------------------------------------------------------------
 // StatsRegistry
 
-TEST(StatsRegistry, CountersGaugesHistogramsRoundTrip) {
+TEST(StatsRegistry, GaugesHistogramsRoundTrip) {
   StatsRegistry reg(true);
-  reg.add("requests", 3);
-  reg.add("requests", 2);
-  reg.set("温度", 21.5);  // names are arbitrary bytes
+  reg.set("requests", 3);
+  reg.set("requests", 5);  // a gauge keeps the last value set
+  reg.set("温度", 21.5);   // names are arbitrary bytes
   reg.observe("lat_us", 100.0);
   reg.observe("lat_us", 200.0);
   const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].name, "requests");
-  EXPECT_EQ(snap.counters[0].value, 5u);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(snap.gauges[0].value, 21.5);
+  ASSERT_EQ(snap.gauges.size(), 2u);
+  EXPECT_EQ(snap.gauges[0].name, "requests");
+  EXPECT_DOUBLE_EQ(snap.gauges[0].value, 5.0);
+  EXPECT_DOUBLE_EQ(snap.gauges[1].value, 21.5);
   ASSERT_EQ(snap.histograms.size(), 1u);
   EXPECT_EQ(snap.histograms[0].hist.count(), 2u);
   EXPECT_DOUBLE_EQ(snap.histograms[0].hist.sum(), 300.0);
@@ -133,70 +132,70 @@ TEST(StatsRegistry, CountersGaugesHistogramsRoundTrip) {
   EXPECT_DOUBLE_EQ(snap.histograms[0].hist.max(), 200.0);
 }
 
-TEST(StatsRegistry, DisabledRegistryAllocatesNoShards) {
+TEST(StatsRegistry, DisabledRegistryRegistersNothing) {
   StatsRegistry reg(false);
-  reg.add("c", 10);
   reg.observe("h", 1.0);
   reg.set("g", 2.0);
-  EXPECT_EQ(reg.shard_count(), 0u);
   const auto snap = reg.snapshot();
-  EXPECT_TRUE(snap.counters.empty());
   EXPECT_TRUE(snap.histograms.empty());
   EXPECT_TRUE(snap.gauges.empty());
+  // Arming later starts from nothing: no update was buffered while off.
+  reg.set_enabled(true);
+  reg.observe("h", 3.0);
+  const auto armed = reg.snapshot();
+  EXPECT_TRUE(armed.gauges.empty());
+  ASSERT_EQ(armed.histograms.size(), 1u);
+  EXPECT_EQ(armed.histograms[0].hist.count(), 1u);
 }
 
 TEST(StatsRegistry, ConcurrentUpdatesMergeExactly) {
   StatsRegistry reg(true);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
-  const auto counter = reg.counter("hits");
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&reg, counter, t] {
-      const auto hist = reg.histogram("obs");
+    workers.emplace_back([&reg, t] {
+      // "g<t>", built by append: `"g" + std::to_string(t)` trips a g++ 12
+      // -Wrestrict false positive under -O2.
+      std::string gauge = "g";
+      gauge += std::to_string(t);
       for (int i = 0; i < kPerThread; ++i) {
-        counter.add();
-        hist.observe(static_cast<double>(t + 1));
+        reg.observe("obs", static_cast<double>(t + 1));
+        reg.set(gauge, static_cast<double>(i + 1));
       }
     });
   }
   for (auto& w : workers) w.join();
   const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].value,
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
   ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].hist.count(),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].hist.min(), 1.0);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].hist.max(), kThreads);
-  EXPECT_GE(reg.shard_count(), 1u);
-  EXPECT_LE(reg.shard_count(), static_cast<std::size_t>(kThreads) + 1);
+  const auto& h = snap.histograms[0].hist;
+  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+  // Small integers keep every partial sum exact: no update was lost.
+  EXPECT_DOUBLE_EQ(h.sum(), static_cast<double>(kPerThread) * kThreads *
+                                (kThreads + 1) / 2);
+  EXPECT_DOUBLE_EQ(h.min(), 1.0);
+  EXPECT_DOUBLE_EQ(h.max(), kThreads);
+  ASSERT_EQ(snap.gauges.size(), static_cast<std::size_t>(kThreads));
+  for (const auto& g : snap.gauges)
+    EXPECT_DOUBLE_EQ(g.value, kPerThread) << g.name;
 }
 
 TEST(StatsRegistry, SnapshotIsDeterministicRegistrationOrder) {
   StatsRegistry reg(true);
-  reg.add("z", 1);
-  reg.add("a", 1);
-  reg.add("m", 1);
+  reg.set("z", 1);
+  reg.observe("y", 1);
+  reg.set("a", 1);
+  reg.observe("b", 1);
+  reg.set("m", 1);
+  reg.set("z", 2);  // an update keeps the first registration's slot
   const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 3u);
-  EXPECT_EQ(snap.counters[0].name, "z");
-  EXPECT_EQ(snap.counters[1].name, "a");
-  EXPECT_EQ(snap.counters[2].name, "m");
-}
-
-TEST(StatsRegistry, ResetZeroesValuesKeepsRegistrations) {
-  StatsRegistry reg(true);
-  reg.add("c", 7);
-  reg.observe("h", 3.0);
-  reg.set("g", 4.0);
-  reg.reset();
-  const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].value, 0u);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_TRUE(snap.histograms[0].hist.empty());
+  ASSERT_EQ(snap.gauges.size(), 3u);
+  EXPECT_EQ(snap.gauges[0].name, "z");
+  EXPECT_EQ(snap.gauges[1].name, "a");
+  EXPECT_EQ(snap.gauges[2].name, "m");
+  ASSERT_EQ(snap.histograms.size(), 2u);
+  EXPECT_EQ(snap.histograms[0].name, "y");
+  EXPECT_EQ(snap.histograms[1].name, "b");
 }
 
 // ---------------------------------------------------------------------------
