@@ -81,9 +81,9 @@ int run(int argc, char** argv) {
 
   // 6. Streaming: pay the Algorithm 2 setup once, then serve a longer query
   //    stream in mesh-capacity batches. The recorder charges every
-  //    primitive and collects the per-batch latency/queue-wait histograms;
-  //    run with MESHSEARCH_STATS=1 to get the observability summary printed
-  //    on exit (see example_main.hpp).
+  //    primitive, and the scheduler records its SLO gauges and per-batch
+  //    latency/queue-wait histograms there; the SLO line below prints the
+  //    same counts from StreamResult::slo.
   trace::TraceRecorder rec("alg2-alpha");
   mesh::CostModel traced_model;
   traced_model.trace = &rec;
@@ -94,7 +94,6 @@ int run(int argc, char** argv) {
       ds::uniform_key_queries(4 * engine.capacity(), nkeys + nkeys / 4, rng);
   StreamScheduler sched(engine, BatchPolicy{});
   auto sres = sched.run(stream);
-  record_stream_metrics(&rec, sres);
   std::cout << "\nstreaming " << sres.queries << " queries in "
             << sres.batches.size() << " warm batches: "
             << sres.amortized_steps_per_query()

@@ -50,7 +50,6 @@ KaryTree::KaryTree(std::vector<WeightedKey> keys, unsigned k, TreeMode mode)
                                  std::to_string(i),
                              "kary-tree");
   key_set_ = std::move(keys);
-  keys_ = key_set_.size();
   build();
 }
 
@@ -190,7 +189,6 @@ msearch::StructureDelta KaryTree::apply_updates(
     // levels taller. The DistributedGraph member keeps its address; its
     // generation stamp survives the assignment inside build().
     key_set_ = std::move(merged);
-    keys_ = key_set_.size();
     build();
     g_.bump_generation();
     delta.topology_changed = true;
@@ -202,7 +200,6 @@ msearch::StructureDelta KaryTree::apply_updates(
   // and diff to find the dirty records.
   const std::vector<VertexRecord> before = g_.verts();
   key_set_ = std::move(merged);
-  keys_ = key_set_.size();
   fill_payloads();
   for (std::size_t v = 0; v < before.size(); ++v)
     if (g_.vert(static_cast<Vid>(v)).key != before[v].key)

@@ -63,7 +63,6 @@ class KaryTree {
   std::int32_t height() const { return height_; }  ///< leaf depth
   TreeMode mode() const { return mode_; }
   std::size_t leaf_count() const { return leaves_; }
-  std::size_t key_count() const { return keys_; }
   /// The live sorted key set (the master copy apply_updates maintains).
   const std::vector<WeightedKey>& key_set() const { return key_set_; }
 
@@ -148,7 +147,6 @@ class KaryTree {
   unsigned k_ = 2;
   std::int32_t height_ = 0;
   std::size_t leaves_ = 0;
-  std::size_t keys_ = 0;
   std::vector<WeightedKey> key_set_;  ///< live keys, sorted unique
   TreeMode mode_ = TreeMode::kDirected;
 };

@@ -20,7 +20,6 @@ TwoThreeTree::TwoThreeTree(const std::vector<std::int64_t>& keys) {
       msearch::invalid_input(
           "keys not sorted unique at index " + std::to_string(i),
           "twothree-tree");
-  keys_ = keys.size();
 
   // Bottom-up construction. A level of w nodes is grouped into parents of
   // 2 or 3 children: greedy 3s, switching to 2s when the remainder is 2 or

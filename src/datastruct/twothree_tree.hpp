@@ -36,7 +36,6 @@ class TwoThreeTree {
   const DistributedGraph& graph() const { return g_; }
   Vid root() const { return root_; }
   std::int32_t height() const { return height_; }
-  std::size_t key_count() const { return keys_; }
 
   /// Membership/predecessor search: q.key[0] = x. Result: q.result = leaf,
   /// q.acc0 = 1 if x is in the dictionary else 0, q.acc1 = predecessor key
@@ -56,7 +55,6 @@ class TwoThreeTree {
   DistributedGraph g_;
   Vid root_ = kNoVertex;
   std::int32_t height_ = 0;
-  std::size_t keys_ = 0;
 };
 
 }  // namespace meshsearch::ds

@@ -40,6 +40,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -75,11 +76,23 @@ struct FaultConfig {
   double p_corrupt = 0.0;     ///< per (step, link) payload-bit-flip probability
   double p_phase = 0.0;       ///< per-attempt phase-failure probability
   int max_retries = 6;        ///< phase attempts = 1 + up to max_retries
-  double backoff_base = 8.0;  ///< backoff after attempt a: base * 2^a steps
-  double degrade_factor = 0.5;  ///< surviving capacity share per degradation
-  int max_replans = 3;          ///< re-plans before a batch reports degraded
-  double route_cap_factor = 16.0;  ///< convergence-guard scale while armed
+  int max_replans = 3;        ///< re-plans before a batch reports degraded
 };
+
+/// Backoff after failed attempt a: kBackoffBase * 2^a steps.
+inline constexpr double kBackoffBase = 8.0;
+/// Surviving capacity share per degradation.
+inline constexpr double kDegradeFactor = 0.5;
+/// Convergence-guard scale for partial routing while a plan is armed.
+inline constexpr std::size_t kRouteCapFactor = 16;
+
+/// Steps after which partial routing on a side-`side` mesh has failed to
+/// converge: 64 * side + 64, scaled by kRouteCapFactor while faults are
+/// injected (stalls and drops legitimately slow delivery).
+constexpr std::size_t route_step_cap(std::size_t side, bool faulty) {
+  const std::size_t cap = 64 * side + 64;
+  return faulty ? cap * kRouteCapFactor : cap;
+}
 
 /// Result of one phase draw: how many attempts failed before the first
 /// success, and the total exponential-backoff wait charged between them.
@@ -164,13 +177,13 @@ class FaultPlan {
   /// Draw the retry schedule for one phase execution. Attempt a fails with
   /// p_phase, and independently with p_corrupt (the end-of-phase checksum
   /// audit detecting transit corruption); after a failed attempt the engine
-  /// waits backoff_base * 2^a steps. Throws FaultExhaustedError when all
+  /// waits kBackoffBase * 2^a steps. Throws FaultExhaustedError when all
   /// 1 + max_retries attempts fail. Draws are keyed by (seed, name,
   /// per-name occurrence counter), so the schedule is a deterministic
   /// function of the call sequence.
   PhaseDraw draw_phase(std::string_view name);
 
-  /// Shrink surviving capacity by degrade_factor (stream scheduler, after a
+  /// Shrink surviving capacity by kDegradeFactor (stream scheduler, after a
   /// batch exhausts its retries).
   void degrade();
 

@@ -31,10 +31,9 @@ std::vector<std::vector<std::uint32_t>> plan_batches(
   std::vector<std::uint32_t> order(stream.size());
   std::iota(order.begin(), order.end(), 0u);
   if (policy.order == BatchOrder::kLocalityReorder) {
-    // Sort each window by search key; ties keep arrival order so the
-    // schedule is a deterministic function of the stream alone.
-    const std::size_t w =
-        std::max(b, policy.window == 0 ? 4 * b : policy.window);
+    // Sort each 4-batch window by search key; ties keep arrival order so
+    // the schedule is a deterministic function of the stream alone.
+    const std::size_t w = 4 * b;
     for (std::size_t lo = 0; lo < order.size(); lo += w) {
       const auto begin =
           order.begin() + static_cast<std::ptrdiff_t>(lo);

@@ -106,10 +106,8 @@ struct BatchPolicy {
   /// Queries per batch; 0 = mesh capacity. Clamped to capacity (the initial
   /// configuration stores at most one query per processor).
   std::size_t batch_size = 0;
+  /// kLocalityReorder sorts windows of 4 batches together before slicing.
   BatchOrder order = BatchOrder::kFifo;
-  /// Locality-reorder window (queries sorted together before slicing);
-  /// 0 = 4 batches worth. Ignored under kFifo.
-  std::size_t window = 0;
 };
 
 /// Slice `stream` into batches of at most min(policy.batch_size, capacity)
@@ -364,15 +362,14 @@ class PreparedSearch {
   /// cache must not dangle); `g` and `m` must outlive the engine.
   PreparedSearch(EngineKind kind, const DistributedGraph& g, Splitting psi_a,
                  Splitting psi_b, P prog, const mesh::CostModel& m,
-                 mesh::MeshShape shape, bool duplicate_copies = true)
+                 mesh::MeshShape shape)
       : kind_(kind),
         g_(&g),
         psi_a_(std::move(psi_a)),
         psi_b_(std::move(psi_b)),
         prog_(std::move(prog)),
         m_(&m),
-        shape_(shape),
-        duplicate_copies_(duplicate_copies) {
+        shape_(shape) {
     if (kind != EngineKind::kAlg2Alpha && kind != EngineKind::kAlg3AlphaBeta)
       invalid_input("partitioned PreparedSearch requires an Alg 2/3 kind",
                     "PreparedSearch");
@@ -479,10 +476,6 @@ class PreparedSearch {
     MS_CHECK(dag_ != nullptr);
     return plan_;
   }
-  const std::vector<std::int32_t>& replica_labels() const {
-    MS_CHECK(dag_ != nullptr);
-    return labels_;
-  }
 
   /// Charge the one-time setup through the cost model (again). Construction
   /// calls this once; the resetup_every_batch baseline calls it before every
@@ -557,7 +550,7 @@ class PreparedSearch {
       case EngineKind::kAlg3AlphaBeta: {
         const PartitionedRunResult r =
             multisearch_partitioned(*g_, psi_a_, psi_b_, prog_, batch, *m_,
-                                    shape_, duplicate_copies_);
+                                    shape_);
         rep.run = r.cost;
         rep.visits = r.total_visits;
         break;
@@ -610,7 +603,6 @@ class PreparedSearch {
   P prog_;
   const mesh::CostModel* m_;
   mesh::MeshShape shape_;
-  bool duplicate_copies_ = true;
   mesh::Cost setup_cost_;
   std::size_t batches_served_ = 0;
   std::string dataset_ = "<unnamed>";

@@ -175,14 +175,7 @@ std::atomic<int> g_paranoid_override{-1};
 
 bool paranoid_from_env() {
   const char* v = std::getenv("MESHSEARCH_PARANOID");
-  if (v == nullptr) {
-#ifdef MESHSEARCH_PARANOID_DEFAULT
-    return true;
-#else
-    return false;
-#endif
-  }
-  return v[0] != '\0' && std::strcmp(v, "0") != 0;
+  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
 }
 
 }  // namespace

@@ -18,11 +18,10 @@
 // before any phase is charged. MS_CHECK remains the vocabulary for INTERNAL
 // invariants — after the front door, a tripped check is a library bug.
 //
-// This header also hosts paranoid mode (MESHSEARCH_PARANOID env var, or the
-// MESHSEARCH_PARANOID CMake option to default it on): every engine call
-// shadow-runs the sequential oracle on a copy of its input and audits the
-// end-to-end outcome checksum, throwing IntegrityError on any divergence —
-// the runtime analogue of the determinism test suite.
+// This header also hosts paranoid mode (MESHSEARCH_PARANOID env var): every
+// engine call shadow-runs the sequential oracle on a copy of its input and
+// audits the end-to-end outcome checksum, throwing IntegrityError on any
+// divergence — the runtime analogue of the determinism test suite.
 #pragma once
 
 #include <cstdint>
@@ -110,9 +109,8 @@ void validate_point_set_2d(const std::vector<geom::Point2>& pts,
 // ---------------------------------------------------------------------------
 
 /// True when the MESHSEARCH_PARANOID environment variable is set to a
-/// non-empty, non-"0" value, or the library was compiled with
-/// -DMESHSEARCH_PARANOID=ON and the variable is unset. Cached after the
-/// first call (the env is not re-read).
+/// non-empty, non-"0" value. Cached after the first call (the env is not
+/// re-read).
 bool paranoid_enabled();
 
 /// Test hook: force paranoid mode on (1), off (0), or back to the

@@ -10,16 +10,6 @@ namespace meshsearch::service {
 
 namespace {
 
-/// Metric identity of an engine's breaker: "dataset/kind" as in
-/// engine_key_name (the scheduler has the Engine, not its registry key, but
-/// dataset + kind IS the key).
-std::string breaker_id(const Engine& e) {
-  std::string out = e.dataset();
-  out += '/';
-  out += msearch::engine_kind_name(e.kind());
-  return out;
-}
-
 /// Scale a positive query count, flooring at 1 (a brownouted tenant is
 /// deprioritized, never fully starved — starvation would turn a latency
 /// SLO miss into unbounded waits for work already admitted).
@@ -108,16 +98,16 @@ void ServiceScheduler::resolve(TenantSession& t, std::uint32_t idx,
   MS_CHECK(t.outstanding_ > 0);
   --t.outstanding_;
   switch (state) {
-    case QueryState::kDone: ++t.completed_; break;
-    case QueryState::kFailed: ++t.failed_; break;
-    case QueryState::kShed: ++t.shed_; break;
+    case QueryState::kDone: ++t.rep_.completed; break;
+    case QueryState::kFailed: ++t.rep_.failed_queries; break;
+    case QueryState::kShed: ++t.rep_.shed; break;
     case QueryState::kPending: break;  // unreachable (checked above)
   }
   const double admitted = t.submit_steps_[idx];
   const double latency = clock_ - admitted;
   if (dispatched) {
-    t.queue_wait_steps_.observe(attempt_start - admitted);
-    t.latency_steps_.observe(latency);
+    t.rep_.queue_wait_steps.observe(attempt_start - admitted);
+    t.rep_.latency_steps.observe(latency);
   }
   if (t.callback_) {
     CompletionEvent ev;
@@ -147,8 +137,8 @@ std::size_t ServiceScheduler::shed_expired(TenantSession& t) {
 }
 
 bool ServiceScheduler::over_target(const TenantSession& t) const {
-  return t.slo_.p99_target_steps > 0 && !t.latency_steps_.empty() &&
-         t.latency_steps_.p99() > t.slo_.p99_target_steps;
+  return t.slo_.p99_target_steps > 0 && !t.rep_.latency_steps.empty() &&
+         t.rep_.latency_steps.p99() > t.slo_.p99_target_steps;
 }
 
 double ServiceScheduler::retry_after_hint(const TenantSession& t,
@@ -166,7 +156,7 @@ double ServiceScheduler::retry_after_hint(const TenantSession& t,
   std::size_t resolved_total = 0;
   double round_queries = 0;
   for (const auto& tp : tenants_) {
-    resolved_total += tp->completed_ + tp->failed_ + tp->shed_;
+    resolved_total += tp->resolved();
     round_queries += static_cast<double>(quantum_for(*tp));
   }
   const double per_query =
@@ -188,7 +178,7 @@ ServiceScheduler::ServeOutcome ServiceScheduler::serve_slice(
   // resolved: those queries will never be attempted.
   if (t.next_update_ < t.updates_.size()) {
     const std::size_t barrier = t.updates_[t.next_update_].barrier;
-    const std::size_t resolved = t.completed_ + t.failed_ + t.shed_;
+    const std::size_t resolved = t.resolved();
     window = barrier > resolved ? std::min(window, barrier - resolved) : 0;
   }
   if (window == 0 || t.queue_.empty()) return out;
@@ -205,7 +195,7 @@ ServiceScheduler::ServeOutcome ServiceScheduler::serve_slice(
       // retry-budget burn, no clock advance. Still never silent: every
       // ticket flips to kFailed and the completion callback fires.
       breaker.count_fail_fast(cur.indices.size());
-      t.failed_fast_ += cur.indices.size();
+      t.rep_.failed_fast += cur.indices.size();
       for (const auto idx : cur.indices)
         resolve(t, idx, QueryState::kFailed, clock_, /*dispatched=*/false);
       out.resolved += cur.indices.size();
@@ -227,19 +217,19 @@ ServiceScheduler::ServeOutcome ServiceScheduler::serve_slice(
       msearch::RequeueSide::kFront, scratch_, rep);
   if (outcome == msearch::BatchOutcome::kAnswered) {
     clock_ += (rep.inject + rep.run).steps;
-    t.inject_ += rep.inject;
-    t.run_ += rep.run;
+    t.rep_.inject += rep.inject;
+    t.rep_.run += rep.run;
     breaker.record_success();
   } else {
     out.faulted = true;
     breaker.record_failure(round_);
     if (outcome == msearch::BatchOutcome::kRequeued) {
-      ++t.replans_;
+      ++t.rep_.replans;
       return out;
     }
-    ++t.degraded_batches_;
+    ++t.rep_.degraded_batches;
   }
-  ++t.batches_;
+  ++t.rep_.batches;
   if (trace_ != nullptr)
     trace_->stat_observe(trace::tenant_metric(t.name_, "batch_latency_us"),
                          util::wall_us_since(wall_begin));
@@ -274,17 +264,17 @@ void ServiceScheduler::apply_ready_updates(TenantSession& t) {
       // the refresh fault-free: applied-after-degradation, never wedged.
       t.fault_->degrade();
       t.fault_->count_degraded_batch();
-      ++t.degraded_refreshes_;
+      ++t.rep_.degraded_refreshes;
       engine.bind_sinks(trace_, nullptr);
       rep = engine.refresh(req);
     }
     clock_ += rep.cost.steps;
-    t.refresh_ += rep.cost;
+    t.rep_.refresh += rep.cost;
     ++t.next_update_;
     if (rep.incremental)
-      ++t.incremental_refreshes_;
+      ++t.rep_.incremental_refreshes;
     else
-      ++t.full_refreshes_;
+      ++t.rep_.full_refreshes;
   }
 }
 
@@ -324,20 +314,16 @@ std::size_t ServiceScheduler::pump() {
       continue;
     }
     std::size_t quantum = quantum_for(t);
-    std::size_t cap_limit = t.slice_cap();
     if (brownout && over_target(t)) {
       // Over-target tenants yield: scaled quantum (floored at 1) shifts
       // this round's service toward tenants still inside their targets.
       quantum = scale_count(quantum, cfg_.brownout.quantum_scale);
-      if (cfg_.brownout.capacity_scale < 1.0)
-        cap_limit = scale_count(cap_limit, cfg_.brownout.capacity_scale);
-      ++t.brownout_deprioritized_;
+      ++t.rep_.brownout_deprioritized;
     }
     deficit_[i] += static_cast<double>(quantum);
     while (!t.queue_.empty() && deficit_[i] >= 1.0) {
       const std::size_t window =
-          std::min({cap_limit, t.slice_cap(),
-                    static_cast<std::size_t>(deficit_[i])});
+          std::min(t.slice_cap(), static_cast<std::size_t>(deficit_[i]));
       const ServeOutcome out = serve_slice(t, window);
       deficit_[i] -= static_cast<double>(out.taken);
       resolved += out.resolved;
@@ -372,37 +358,35 @@ void ServiceScheduler::export_metrics() const {
   // The one place the service's counts reach the recorder, as gauges.
   // Deterministic counts and charges only — wall histograms already went
   // through stat_observe, keeping rec->metric() bit-identical across runs.
-  const auto metric = [&](const TenantSession& t, const char* name,
-                          double value) {
-    trace_->metric(trace::tenant_metric(t.name_, name), value);
-  };
   for (const auto& tp : tenants_) {
     const TenantSession& t = *tp;
-    metric(t, "submitted", static_cast<double>(t.stream_.size()));
-    metric(t, "completed", static_cast<double>(t.completed_));
-    metric(t, "failed_queries", static_cast<double>(t.failed_));
-    metric(t, "outstanding", static_cast<double>(t.outstanding_));
-    metric(t, "rejected_submissions",
-           static_cast<double>(t.rejected_submissions_));
-    metric(t, "rejected_queries", static_cast<double>(t.rejected_queries_));
-    metric(t, "rejected_backpressure",
-           static_cast<double>(t.rejected_backpressure_));
-    metric(t, "shed", static_cast<double>(t.shed_));
-    metric(t, "failed_fast", static_cast<double>(t.failed_fast_));
-    metric(t, "brownout_deprioritized",
-           static_cast<double>(t.brownout_deprioritized_));
-    metric(t, "batches", static_cast<double>(t.batches_));
-    metric(t, "degraded_batches", static_cast<double>(t.degraded_batches_));
-    metric(t, "replans", static_cast<double>(t.replans_));
-    metric(t, "updates_submitted", static_cast<double>(t.updates_.size()));
-    metric(t, "updates_applied", static_cast<double>(t.next_update_));
-    metric(t, "incremental_refreshes",
-           static_cast<double>(t.incremental_refreshes_));
-    metric(t, "full_refreshes", static_cast<double>(t.full_refreshes_));
-    metric(t, "degraded_refreshes",
-           static_cast<double>(t.degraded_refreshes_));
-    metric(t, "refresh_steps", t.refresh_.steps);
-    metric(t, "charged_steps", (t.inject_ + t.run_ + t.refresh_).steps);
+    const TenantReport r = t.report();
+    const auto metric = [&](const char* name, double value) {
+      trace_->metric(trace::tenant_metric(t.name_, name), value);
+    };
+    const auto count = [&](const char* name, std::size_t value) {
+      metric(name, static_cast<double>(value));
+    };
+    count("submitted", r.submitted);
+    count("completed", r.completed);
+    count("failed_queries", r.failed_queries);
+    count("outstanding", r.outstanding);
+    count("rejected_submissions", r.rejected_submissions);
+    count("rejected_queries", r.rejected_queries);
+    count("rejected_backpressure", r.rejected_backpressure);
+    count("shed", r.shed);
+    count("failed_fast", r.failed_fast);
+    count("brownout_deprioritized", r.brownout_deprioritized);
+    count("batches", r.batches);
+    count("degraded_batches", r.degraded_batches);
+    count("replans", r.replans);
+    count("updates_submitted", r.updates_submitted);
+    count("updates_applied", r.updates_applied);
+    count("incremental_refreshes", r.incremental_refreshes);
+    count("full_refreshes", r.full_refreshes);
+    count("degraded_refreshes", r.degraded_refreshes);
+    metric("refresh_steps", r.refresh.steps);
+    metric("charged_steps", r.charged().steps);
     if (t.fault_ != nullptr)
       mesh::record_fault_metrics(trace_, *t.fault_,
                                  trace::tenant_metric(t.name_, ""));
@@ -420,7 +404,8 @@ void ServiceScheduler::export_metrics() const {
     if (!e.breaker().enabled()) continue;
     if (std::find(seen.begin(), seen.end(), &e) != seen.end()) continue;
     seen.push_back(&e);
-    const std::string id = breaker_id(e);
+    // dataset + kind IS the engine's registry key.
+    const std::string id = engine_key_name({e.dataset(), e.kind()});
     const BreakerCounters& c = e.breaker().counters();
     const auto bmetric = [&](const char* name, double value) {
       trace_->metric(trace::breaker_metric(id, name), value);

@@ -62,10 +62,9 @@
 //     (failed_fast) with zero charge.
 //   * brownout — when the aggregate pending backlog exceeds
 //     BrownoutPolicy::watermark_queries, tenants whose OBSERVED latency p99
-//     exceeds their own p99_target_steps lose DRR quantum (and optionally
-//     slice capacity) for the round, shifting service toward tenants still
-//     inside their targets. DRR-only: the exhaustive baseline stays unfair
-//     on purpose.
+//     exceeds their own p99_target_steps lose DRR quantum for the round,
+//     shifting service toward tenants still inside their targets. DRR-only:
+//     the exhaustive baseline stays unfair on purpose.
 #pragma once
 
 #include <cstdint>
@@ -93,10 +92,6 @@ struct BrownoutPolicy {
   /// Multiplier on an over-target tenant's DRR quantum during brownout
   /// (floored at 1 query so no tenant is fully starved).
   double quantum_scale = 0.25;
-  /// Multiplier on an over-target tenant's slice capacity during brownout;
-  /// 1.0 = no batch shrink (the default — smaller batches also lose batch
-  /// efficiency, so this is opt-in).
-  double capacity_scale = 1.0;
 };
 
 struct ServiceConfig {
@@ -125,7 +120,6 @@ class ServiceScheduler {
 
   TenantSession& tenant(const std::string& name);
   const TenantSession& tenant(const std::string& name) const;
-  std::size_t tenant_count() const { return tenants_.size(); }
 
   /// No tenant has pending work (queries or unapplied updates).
   bool idle() const;

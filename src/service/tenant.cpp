@@ -35,8 +35,8 @@ Submission TenantSession::submit(std::vector<msearch::Query> queries) {
   if (outstanding_ + n > quota_.max_outstanding) {
     // Reject the whole call before anything is enqueued or charged; the
     // caller can split/shrink and retry once earlier work completes.
-    ++rejected_submissions_;
-    rejected_queries_ += n;
+    ++rep_.rejected_submissions;
+    rep_.rejected_queries += n;
     ErrorContext ctx;
     ctx.engine = "service";
     ctx.phase = "admission";
@@ -54,9 +54,9 @@ Submission TenantSession::submit(std::vector<msearch::Query> queries) {
     // is already serving. Rejected whole, nothing enqueued or charged, and
     // the error carries a retry-after hint in virtual steps from the DRR
     // drain-rate estimate so a caller can back off deterministically.
-    ++rejected_submissions_;
-    rejected_queries_ += n;
-    rejected_backpressure_ += n;
+    ++rep_.rejected_submissions;
+    rep_.rejected_queries += n;
+    rep_.rejected_backpressure += n;
     const double retry_after =
         sched_ != nullptr ? sched_->retry_after_hint(*this, n) : 0.0;
     ErrorContext ctx;
@@ -131,38 +131,18 @@ const msearch::Query& TenantSession::result(Ticket t) const {
 
 std::size_t TenantSession::slice_cap() const {
   std::size_t cap = engine_->capacity();
-  if (quota_.max_batch != 0) cap = std::min(cap, quota_.max_batch);
   if (fault_ != nullptr && fault_->armed())
     cap = fault_->effective_capacity(cap);
   return std::max<std::size_t>(1, cap);
 }
 
 TenantReport TenantSession::report() const {
-  TenantReport rep;
+  TenantReport rep = rep_;
   rep.tenant = name_;
   rep.submitted = stream_.size();
-  rep.completed = completed_;
-  rep.failed_queries = failed_;
   rep.outstanding = outstanding_;
-  rep.rejected_submissions = rejected_submissions_;
-  rep.rejected_queries = rejected_queries_;
-  rep.rejected_backpressure = rejected_backpressure_;
-  rep.shed = shed_;
-  rep.failed_fast = failed_fast_;
-  rep.brownout_deprioritized = brownout_deprioritized_;
-  rep.batches = batches_;
-  rep.degraded_batches = degraded_batches_;
-  rep.replans = replans_;
   rep.updates_submitted = updates_.size();
   rep.updates_applied = next_update_;
-  rep.incremental_refreshes = incremental_refreshes_;
-  rep.full_refreshes = full_refreshes_;
-  rep.degraded_refreshes = degraded_refreshes_;
-  rep.inject = inject_;
-  rep.run = run_;
-  rep.refresh = refresh_;
-  rep.queue_wait_steps = queue_wait_steps_;
-  rep.latency_steps = latency_steps_;
   return rep;
 }
 

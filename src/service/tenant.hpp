@@ -80,10 +80,6 @@ struct TenantQuota {
   /// Queued + running queries the tenant may have in flight. A submit that
   /// would exceed this is rejected whole with CapacityError.
   std::size_t max_outstanding = 1024;
-  /// Per-slice cap on queries handed to the engine in one batch; 0 = the
-  /// engine's mesh capacity. Always additionally clamped to capacity (and
-  /// to the fault plan's surviving capacity when one is armed).
-  std::size_t max_batch = 0;
   /// Deficit-round-robin weight: a weight-w tenant earns w quanta per round.
   std::uint32_t weight = 1;
 };
@@ -236,8 +232,7 @@ class TenantSession {
   };
 
   /// Largest slice the scheduler may hand the engine right now: mesh
-  /// capacity, clamped by quota.max_batch and the fault plan's surviving
-  /// capacity.
+  /// capacity, clamped by the fault plan's surviving capacity.
   std::size_t slice_cap() const;
 
   /// The next unapplied update exists and its barrier has resolved.
@@ -247,7 +242,12 @@ class TenantSession {
   /// would deadlock the update queue.)
   bool update_ready() const {
     return next_update_ < updates_.size() &&
-           completed_ + failed_ + shed_ >= updates_[next_update_].barrier;
+           resolved() >= updates_[next_update_].barrier;
+  }
+
+  /// Queries answered, reported failed or shed.
+  std::size_t resolved() const {
+    return rep_.completed + rep_.failed_queries + rep_.shed;
   }
 
   std::string name_;
@@ -268,29 +268,11 @@ class TenantSession {
   mesh::FaultPlan* fault_ = nullptr;     ///< not owned
   CompletionFn callback_;
 
-  // Report accumulators (histograms live here; counters snapshot into
-  // TenantReport).
-  std::size_t completed_ = 0;
-  std::size_t failed_ = 0;
-  std::size_t shed_ = 0;
-  std::size_t failed_fast_ = 0;
-  std::size_t rejected_submissions_ = 0;
-  std::size_t rejected_queries_ = 0;
-  std::size_t rejected_backpressure_ = 0;
-  std::size_t brownout_deprioritized_ = 0;
-  std::size_t batches_ = 0;
-  std::size_t degraded_batches_ = 0;
-  std::size_t replans_ = 0;
+  /// The tenant's counts, charges and step histograms; report() copies it
+  /// and fills in tenant, submitted, outstanding and updates_*.
+  TenantReport rep_;
   std::vector<PendingUpdate> updates_;  ///< all submitted updates, in order
   std::size_t next_update_ = 0;         ///< first unapplied index
-  std::size_t incremental_refreshes_ = 0;
-  std::size_t full_refreshes_ = 0;
-  std::size_t degraded_refreshes_ = 0;
-  mesh::Cost inject_;
-  mesh::Cost run_;
-  mesh::Cost refresh_;
-  util::LogHistogram queue_wait_steps_;
-  util::LogHistogram latency_steps_;
 };
 
 }  // namespace meshsearch::service

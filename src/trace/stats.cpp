@@ -1,8 +1,5 @@
 #include "trace/stats.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace meshsearch::stats {
 
 namespace {
@@ -21,13 +18,11 @@ Entry& entry(std::vector<Entry>& entries, Map& ids, std::string_view name) {
 }  // namespace
 
 void StatsRegistry::set(std::string_view name, double value) {
-  if (!enabled()) return;
   const std::lock_guard<std::mutex> lock(mu_);
   entry(data_.gauges, gauge_ids_, name).value = value;
 }
 
 void StatsRegistry::observe(std::string_view name, double value) {
-  if (!enabled()) return;
   const std::lock_guard<std::mutex> lock(mu_);
   entry(data_.histograms, hist_ids_, name).hist.observe(value);
 }
@@ -35,18 +30,6 @@ void StatsRegistry::observe(std::string_view name, double value) {
 Snapshot StatsRegistry::snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return data_;
-}
-
-bool StatsRegistry::env_enabled() {
-  const char* env = std::getenv("MESHSEARCH_STATS");
-  if (env == nullptr) return false;
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "") != 0 &&
-         std::strcmp(env, "off") != 0 && std::strcmp(env, "false") != 0;
-}
-
-StatsRegistry& StatsRegistry::global() {
-  static StatsRegistry reg(env_enabled());
-  return reg;
 }
 
 }  // namespace meshsearch::stats

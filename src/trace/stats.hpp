@@ -17,19 +17,13 @@
 //     copy in registration order (deterministic given a deterministic
 //     registration sequence). Updates are phase-end granularity: one lock
 //     per set/observe.
-//   * A disabled registry does NO work: updates return after one relaxed
-//     load, nothing is registered, snapshot() is empty.
 //   * Percentile math is util::LogHistogram (util/stats.hpp) — the single
 //     implementation shared with the bench harness and SLO reports.
 //
-// The process-global registry (stats::global()) starts enabled iff the
-// MESHSEARCH_STATS environment variable is truthy ("1", "true", "on", ...);
-// TraceRecorder mirrors its gauges and histograms there so one env flag
-// lights up end-of-run summaries (examples/example_main.hpp) without any
-// wiring.
+// Each TraceRecorder owns one registry (TraceRecorder::stats()), and every
+// exporter reads it from there.
 #pragma once
 
-#include <atomic>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -56,14 +50,9 @@ struct Snapshot {
 
 class StatsRegistry {
  public:
-  explicit StatsRegistry(bool enabled = true) : enabled_(enabled) {}
+  StatsRegistry() = default;
   StatsRegistry(const StatsRegistry&) = delete;
   StatsRegistry& operator=(const StatsRegistry&) = delete;
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
 
   /// Set (registering on first use) the gauge `name`.
   void set(std::string_view name, double value);
@@ -73,12 +62,6 @@ class StatsRegistry {
   /// Copy of every instrument, registration order. Safe to call
   /// concurrently with updates.
   Snapshot snapshot() const;
-
-  /// Process-wide registry, initially enabled iff MESHSEARCH_STATS is truthy.
-  static StatsRegistry& global();
-
-  /// True when MESHSEARCH_STATS is set to a truthy value (read per call).
-  static bool env_enabled();
 
  private:
   struct NameHash {
@@ -90,7 +73,6 @@ class StatsRegistry {
   using NameMap =
       std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>;
 
-  std::atomic<bool> enabled_;
   mutable std::mutex mu_;  ///< guards data_ and both name maps
   Snapshot data_;
   NameMap gauge_ids_, hist_ids_;

@@ -98,8 +98,6 @@ std::vector<Event> TraceRecorder::events() const {
 
 void TraceRecorder::metric(std::string_view name, double value) {
   stats_.set(name, value);
-  auto& g = stats::StatsRegistry::global();
-  if (g.enabled()) g.set(name, value);
 }
 
 std::vector<Metric> TraceRecorder::metrics() const {
@@ -112,8 +110,6 @@ std::vector<Metric> TraceRecorder::metrics() const {
 
 void TraceRecorder::stat_observe(std::string_view name, double value_us) {
   stats_.observe(name, value_us);
-  auto& g = stats::StatsRegistry::global();
-  if (g.enabled()) g.observe(name, value_us);
 }
 
 std::string span_histogram_name(std::string_view span_name) {

@@ -154,8 +154,7 @@ class TraceRecorder {
   /// is preserved so exported reports read in the order the run emitted.
   /// Backed by a StatsRegistry gauge, so the lookup is hashed (a bench
   /// setting 10k metrics per sweep stays linear, not quadratic) and all
-  /// exporters read metrics and histograms from one source. Mirrored to the
-  /// process-global registry when MESHSEARCH_STATS=1.
+  /// exporters read metrics and histograms from one source.
   void metric(std::string_view name, double value);
 
   /// Snapshot of the named metrics in first-insertion order.
@@ -171,9 +170,7 @@ class TraceRecorder {
   stats::StatsRegistry& stats() { return stats_; }
   const stats::StatsRegistry& stats() const { return stats_; }
 
-  /// Record a wall-clock observation into this recorder's histogram `name`,
-  /// mirrored to the process-global registry when it is enabled
-  /// (MESHSEARCH_STATS=1).
+  /// Record a wall-clock observation into this recorder's histogram `name`.
   void stat_observe(std::string_view name, double value_us);
 
  private:
@@ -181,7 +178,7 @@ class TraceRecorder {
 
   std::string engine_;
   std::chrono::steady_clock::time_point epoch_;
-  stats::StatsRegistry stats_{/*enabled=*/true};
+  stats::StatsRegistry stats_;
   mutable std::mutex mu_;
   double sim_now_ = 0;
   std::map<PrimitiveKey, PrimitiveStat> counters_;

@@ -12,7 +12,7 @@
 //      the `rebuild` primitive) for payload deltas, full re-setup otherwise —
 //      and the refreshed warm engine is bit-identical to a cold engine built
 //      over the same mutated structure: outcomes, per-batch charges, visits,
-//      at 1 and 8 host threads, with the stats registry armed or not.
+//      at 1 and 8 host threads.
 //   4. The `rebuild` phase rides the standard fault machinery: armed plans
 //      retry and back off; an exhausted budget throws FaultExhaustedError and
 //      leaves the engine still (safely) stale.
@@ -40,7 +40,6 @@
 #include "service/engine.hpp"
 #include "service/scheduler.hpp"
 #include "service/tenant.hpp"
-#include "trace/stats.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "util/parallel_for.hpp"
@@ -67,28 +66,20 @@ struct RunRecord {
   std::map<trace::PrimitiveKey, trace::PrimitiveStat> counters;
 };
 
-/// The determinism harness for update flows: run `f` under a 1-thread pool,
-/// an 8-thread pool, and once more (8 threads) with the stats registry armed
-/// (what MESHSEARCH_STATS=1 does) — outcomes, charges and attribution must
-/// be bit-identical in all three.
+/// The determinism harness for update flows: run `f` under a 1-thread pool
+/// and an 8-thread pool — outcomes, charges and attribution must be
+/// bit-identical in both.
 template <typename F>
 void expect_update_invariant(F f) {
   util::ThreadPool::set_global_threads(1);
   const RunRecord serial = f();
   util::ThreadPool::set_global_threads(8);
   const RunRecord parallel = f();
-  auto& registry = stats::StatsRegistry::global();
-  const bool stats_were_enabled = registry.enabled();
-  registry.set_enabled(true);
-  const RunRecord stats_on = f();
-  registry.set_enabled(stats_were_enabled);
   util::ThreadPool::set_global_threads(0);
-  for (const RunRecord* other : {&parallel, &stats_on}) {
-    EXPECT_EQ(diff_outcomes(serial.out, other->out), "");
-    EXPECT_EQ(serial.cost, other->cost);  // exact, not approximate
-    EXPECT_TRUE(serial.counters == other->counters)
-        << "per-primitive attribution diverged";
-  }
+  EXPECT_EQ(diff_outcomes(serial.out, parallel.out), "");
+  EXPECT_EQ(serial.cost, parallel.cost);  // exact, not approximate
+  EXPECT_TRUE(serial.counters == parallel.counters)
+      << "per-primitive attribution diverged";
 }
 
 std::vector<Query> rank_queries(std::size_t m, std::int64_t key_hi,
@@ -418,8 +409,7 @@ TEST(UpdateStaleEngine, MutatedDatasetLookupThrowsTypedStaleEngineError) {
 // ---------------------------------------------------------------------------
 // Warm-refresh == cold-rebuild oracle (satellite 3): after refresh, a warm
 // engine is bit-identical to a cold engine prepared over the same mutated
-// structure — outcomes, per-batch charges, visits — at 1 and 8 threads and
-// with the stats registry armed.
+// structure — outcomes, per-batch charges, visits — at 1 and 8 threads.
 // ---------------------------------------------------------------------------
 
 /// Run the warm-update-refresh flow for one engine pair and demand parity

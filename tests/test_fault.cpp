@@ -102,7 +102,6 @@ TEST(FaultPlan, BackoffDoublesPerFailedAttempt) {
   mesh::FaultConfig cfg;
   cfg.seed = 1;
   cfg.p_phase = 0.5;
-  cfg.backoff_base = 8.0;
   mesh::FaultPlan plan(cfg);
   std::uint32_t deepest = 0;
   for (int i = 0; i < 200; ++i) {

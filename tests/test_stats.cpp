@@ -1,6 +1,6 @@
 // Observability-layer tests: LogHistogram bucket math and percentiles
 // (against a sorted-vector oracle), StatsRegistry round trip and snapshot
-// determinism, disabled mode, exact merge of concurrent updates, the
+// determinism, exact merge of concurrent updates, the
 // registry-backed TraceRecorder::metric() (the O(n^2) overwrite fix), the
 // JSON reader/writer round trip, and the bench baseline comparison logic.
 #include <gtest/gtest.h>
@@ -114,7 +114,7 @@ TEST(LogHistogram, MergeEqualsInterleavedObservation) {
 // StatsRegistry
 
 TEST(StatsRegistry, GaugesHistogramsRoundTrip) {
-  StatsRegistry reg(true);
+  StatsRegistry reg;
   reg.set("requests", 3);
   reg.set("requests", 5);  // a gauge keeps the last value set
   reg.set("温度", 21.5);   // names are arbitrary bytes
@@ -132,24 +132,8 @@ TEST(StatsRegistry, GaugesHistogramsRoundTrip) {
   EXPECT_DOUBLE_EQ(snap.histograms[0].hist.max(), 200.0);
 }
 
-TEST(StatsRegistry, DisabledRegistryRegistersNothing) {
-  StatsRegistry reg(false);
-  reg.observe("h", 1.0);
-  reg.set("g", 2.0);
-  const auto snap = reg.snapshot();
-  EXPECT_TRUE(snap.histograms.empty());
-  EXPECT_TRUE(snap.gauges.empty());
-  // Arming later starts from nothing: no update was buffered while off.
-  reg.set_enabled(true);
-  reg.observe("h", 3.0);
-  const auto armed = reg.snapshot();
-  EXPECT_TRUE(armed.gauges.empty());
-  ASSERT_EQ(armed.histograms.size(), 1u);
-  EXPECT_EQ(armed.histograms[0].hist.count(), 1u);
-}
-
 TEST(StatsRegistry, ConcurrentUpdatesMergeExactly) {
-  StatsRegistry reg(true);
+  StatsRegistry reg;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
   std::vector<std::thread> workers;
@@ -181,7 +165,7 @@ TEST(StatsRegistry, ConcurrentUpdatesMergeExactly) {
 }
 
 TEST(StatsRegistry, SnapshotIsDeterministicRegistrationOrder) {
-  StatsRegistry reg(true);
+  StatsRegistry reg;
   reg.set("z", 1);
   reg.observe("y", 1);
   reg.set("a", 1);

@@ -409,10 +409,9 @@ TEST(StreamPolicy, LocalityReorderSortsEachWindowByKey) {
   const auto stream = fx.stream(777);
   BatchPolicy policy;
   policy.batch_size = 64;
-  policy.window = 256;
   policy.order = BatchOrder::kLocalityReorder;
   const auto batches = plan_batches(stream, policy, 1024);
-  // Flatten back: within every 256-index window the keys ascend.
+  // Flatten back: within every 4-batch (256-index) window the keys ascend.
   std::vector<std::uint32_t> flat;
   for (const auto& b : batches) flat.insert(flat.end(), b.begin(), b.end());
   ASSERT_EQ(flat.size(), stream.size());
@@ -436,7 +435,6 @@ TEST(StreamPolicy, LocalityReorderKeepsArrivalOrderOnDuplicateKeys) {
   }
   BatchPolicy policy;
   policy.batch_size = 64;
-  policy.window = 256;
   policy.order = BatchOrder::kLocalityReorder;
   const auto batches = plan_batches(stream, policy, 1024);
   std::vector<std::uint32_t> flat;
@@ -865,7 +863,6 @@ mesh::FaultConfig executor_fault_config(int max_replans) {
   mesh::FaultConfig cfg;
   cfg.seed = 5;
   cfg.p_phase = 0.5;  // armed; the fake engine decides the outcome anyway
-  cfg.degrade_factor = 0.5;
   cfg.max_replans = max_replans;
   return cfg;
 }
