@@ -1,8 +1,10 @@
 #include "multisearch/stream.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
-#include <tuple>
+
+#include "mesh/ops_soa.hpp"
 
 namespace meshsearch::msearch {
 
@@ -28,27 +30,35 @@ std::vector<std::vector<std::uint32_t>> plan_batches(
   const std::size_t b = policy.batch_size == 0
                             ? capacity
                             : std::min(policy.batch_size, capacity);
+  validate_stream_positions(0, stream.size(), "plan_batches");
   std::vector<std::uint32_t> order(stream.size());
   std::iota(order.begin(), order.end(), 0u);
   if (policy.order == BatchOrder::kLocalityReorder) {
-    // Sort each 4-batch window by search key; ties keep arrival order so
-    // the schedule is a deterministic function of the stream alone.
+    // LSD radix per window (BatchPolicy::order), the window's slice of
+    // `order` as the payload. `order` starts ascending, so the stable passes
+    // give exactly the lexicographic stable sort. Sorting a contiguous key
+    // copy spares the cache miss per comparison into the 80-byte Query
+    // records that a comparator sort pays.
     const std::size_t w = 4 * b;
+    mesh::ops::soa::SortScratch scratch;
+    std::vector<std::uint64_t> keys;
     for (std::size_t lo = 0; lo < order.size(); lo += w) {
-      const auto begin =
-          order.begin() + static_cast<std::ptrdiff_t>(lo);
-      const auto end = order.begin() + static_cast<std::ptrdiff_t>(
-                                           std::min(order.size(), lo + w));
-      // stable_sort on the keys alone: `order` is ascending within the
-      // window, so stability IS the arrival-order tie-break. (A plain
-      // std::sort without a total order here once made the schedule depend
-      // on the libstdc++ introsort cutoffs for duplicate keys.)
-      std::stable_sort(begin, end, [&](std::uint32_t a, std::uint32_t c) {
-        const Query& qa = stream[a];
-        const Query& qc = stream[c];
-        return std::tie(qa.key[0], qa.key[1], qa.key[2]) <
-               std::tie(qc.key[0], qc.key[1], qc.key[2]);
-      });
+      const std::size_t n = std::min(order.size() - lo, w);
+      std::uint32_t* window = order.data() + lo;
+      // One sequential pass (the window is still in arrival order) finds
+      // the words that vary.
+      const auto& first = stream[window[0]].key;
+      std::array<bool, 3> varies{};
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t word = 0; word < 3; ++word)
+          varies[word] |= stream[window[i]].key[word] != first[word];
+      keys.resize(n);
+      for (std::size_t word = 3; word-- > 0;) {
+        if (!varies[word]) continue;
+        for (std::size_t i = 0; i < n; ++i)
+          keys[i] = mesh::ops::soa::order_key(stream[window[i]].key[word]);
+        mesh::ops::soa::radix_sort_u64(keys.data(), window, n, scratch);
+      }
     }
   }
   std::vector<std::vector<std::uint32_t>> batches;

@@ -106,14 +106,21 @@ struct BatchPolicy {
   /// Queries per batch; 0 = mesh capacity. Clamped to capacity (the initial
   /// configuration stores at most one query per processor).
   std::size_t batch_size = 0;
-  /// kLocalityReorder sorts windows of 4 batches together before slicing.
+  /// kLocalityReorder sorts windows of 4 batches together before slicing,
+  /// by the key triple (key[0], key[1], key[2]): an LSD radix over the words,
+  /// least significant first (radix_sort_u64, mesh/ops_soa.hpp), skipping
+  /// any word that is constant over the window. The radix is stable, so key
+  /// ties keep arrival order, and its fixed-chunk histograms make the
+  /// schedule bit-identical at any host thread count.
   BatchOrder order = BatchOrder::kFifo;
 };
 
 /// Slice `stream` into batches of at most min(policy.batch_size, capacity)
 /// query indices, in arrival order or locality order. Every index appears
-/// in exactly one batch; no batch is empty. Deterministic (key ties break
-/// by arrival index).
+/// in exactly one batch; no batch is empty. Deterministic: the locality
+/// reorder is a stable LSD radix over the key words, least significant
+/// first, with words constant over a window skipped, so key ties break by
+/// arrival index and the plan is the same at any thread count.
 ///
 /// Edge contracts (each a defined behavior, not caller discipline):
 ///   * empty stream        -> no batches (an empty vector), nothing charged;
@@ -125,6 +132,7 @@ struct BatchPolicy {
 ///   * capacity == 0       -> InvalidInputError (a mesh with no processors
 ///                            cannot serve a batch; this is caller error,
 ///                            not a library invariant violation).
+///   * stream.size() > 2^32 - 1 -> CapacityError (positions are uint32_t).
 std::vector<std::vector<std::uint32_t>> plan_batches(
     const std::vector<Query>& stream, const BatchPolicy& policy,
     std::size_t capacity);

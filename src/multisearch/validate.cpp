@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 namespace meshsearch::msearch {
@@ -113,6 +114,17 @@ void validate_batch_size(std::size_t batch_size, std::size_t capacity,
                        std::to_string(capacity) +
                        " (one query per processor)",
                    engine);
+}
+
+void validate_stream_positions(std::size_t used, std::size_t adding,
+                               const char* site) {
+  constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
+  if (used > kMax || adding > kMax - used)
+    capacity_error("stream of " + std::to_string(used) + " + " +
+                       std::to_string(adding) +
+                       " queries exceeds the 32-bit position space (" +
+                       std::to_string(kMax) + ")",
+                   site);
 }
 
 void validate_query_keys(const std::vector<Query>& queries, std::int64_t lo,

@@ -80,6 +80,13 @@ void validate_graph_fits(const DistributedGraph& g, mesh::MeshShape shape,
 void validate_batch_size(std::size_t batch_size, std::size_t capacity,
                          const char* engine);
 
+/// Stream positions are 32-bit (batch indices, the radix payload of the
+/// locality reorder, a tenant's arrival numbering): a stream already holding
+/// `used` positions may grow by `adding` only while the total stays within
+/// uint32_t. Throws CapacityError past 2^32 - 1 positions.
+void validate_stream_positions(std::size_t used, std::size_t adding,
+                               const char* site);
+
 /// Query keys must lie in [lo, hi] (used by builders whose key domain is
 /// bounded, e.g. geometry coordinates within kMaxCoord). Throws
 /// InvalidInputError naming the first offending query.

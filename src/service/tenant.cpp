@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "multisearch/validate.hpp"
 #include "service/scheduler.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
@@ -32,6 +33,9 @@ Submission TenantSession::submit(std::vector<msearch::Query> queries) {
   sub.first = stream_.size();
   if (queries.empty()) return sub;
   const std::size_t n = queries.size();
+  // Tickets are uint32_t stream positions; refuse a call that would wrap
+  // them before anything is counted, enqueued or charged.
+  msearch::validate_stream_positions(stream_.size(), n, name_.c_str());
   if (outstanding_ + n > quota_.max_outstanding) {
     // Reject the whole call before anything is enqueued or charged; the
     // caller can split/shrink and retry once earlier work completes.

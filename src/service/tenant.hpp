@@ -179,9 +179,11 @@ class TenantSession {
   /// enqueued, nothing charged): CapacityError when the call would exceed
   /// quota.max_outstanding, BackpressureError — with a retry-after hint in
   /// virtual steps — when it would push the pending queue past
-  /// slo().max_queue. An empty call is a no-op returning count 0. Admitted
-  /// queries are answered asynchronously by the scheduler; the Submission's
-  /// tickets are `first .. first + count - 1`.
+  /// slo().max_queue. A call that would take the tenant past 2^32 - 1
+  /// positions throws CapacityError and counts in no report field. An empty
+  /// call is a no-op returning count 0. Admitted queries are answered
+  /// asynchronously by the scheduler; the Submission's tickets are
+  /// `first .. first + count - 1`.
   Submission submit(std::vector<msearch::Query> queries);
 
   /// Queries admitted but not yet popped for a dispatch (the backpressure

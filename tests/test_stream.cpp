@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <tuple>
 #include <vector>
@@ -449,6 +452,106 @@ TEST(StreamPolicy, LocalityReorderKeepsArrivalOrderOnDuplicateKeys) {
     EXPECT_TRUE(ka < kb || (ka == kb && flat[i - 1] < flat[i]))
         << "duplicate keys broke arrival order at position " << i;
   }
+}
+
+// The comparator stable sort plan_batches ran before the radix reorder,
+// kept here as the reference schedule: each 4-batch window stable-sorted by
+// the lexicographic key triple, then sliced into batches of `b`.
+std::vector<std::vector<std::uint32_t>> stable_sort_reference_plan(
+    const std::vector<Query>& stream, std::size_t b) {
+  std::vector<std::uint32_t> order(stream.size());
+  std::iota(order.begin(), order.end(), 0u);
+  const std::size_t w = 4 * b;
+  for (std::size_t lo = 0; lo < order.size(); lo += w) {
+    const auto begin = order.begin() + static_cast<std::ptrdiff_t>(lo);
+    const auto end = order.begin() + static_cast<std::ptrdiff_t>(
+                                         std::min(order.size(), lo + w));
+    std::stable_sort(begin, end, [&](std::uint32_t a, std::uint32_t c) {
+      const Query& qa = stream[a];
+      const Query& qc = stream[c];
+      return std::tie(qa.key[0], qa.key[1], qa.key[2]) <
+             std::tie(qc.key[0], qc.key[1], qc.key[2]);
+    });
+  }
+  std::vector<std::vector<std::uint32_t>> batches;
+  for (std::size_t lo = 0; lo < order.size(); lo += b) {
+    const std::size_t hi = std::min(order.size(), lo + b);
+    batches.emplace_back(order.begin() + static_cast<std::ptrdiff_t>(lo),
+                         order.begin() + static_cast<std::ptrdiff_t>(hi));
+  }
+  return batches;
+}
+
+// The radix reorder must reproduce the stable sort's schedule exactly, on
+// every shape of window and key: signed extremes (the order_key bias flip),
+// each key word varying alone (the constant-word skip and the LSD pass
+// order), all three at once, and heavy ties (stability across passes).
+TEST(StreamPolicy, LocalityReorderMatchesStableSortReference) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::vector<std::int64_t> extremes = {kMin, kMin + 1, -(1ll << 40),
+                                              -1,   0,        1,
+                                              1ll << 40,      kMax - 1, kMax};
+  enum class Keys { kWord0, kWord1, kWord2, kAllWords, kDuplicates,
+                    kExtremes };
+  const auto make_stream = [&](std::size_t m, Keys mode, std::uint64_t seed) {
+    auto stream = make_queries(m);
+    util::Rng rng(seed);
+    const auto wide = [&] {
+      return static_cast<std::int64_t>(rng());  // full signed range
+    };
+    const std::array<std::int64_t, 3> fixed = {wide(), wide(), wide()};
+    for (auto& q : stream) {
+      q.key = fixed;
+      switch (mode) {
+        case Keys::kWord0: q.key[0] = wide(); break;
+        case Keys::kWord1: q.key[1] = wide(); break;
+        case Keys::kWord2: q.key[2] = wide(); break;
+        case Keys::kAllWords:
+          for (auto& k : q.key) k = rng.uniform_range(-3, 3);
+          break;
+        case Keys::kDuplicates:
+          q.key[0] = rng.uniform_range(-1, 1);
+          q.key[1] = rng.uniform_range(0, 1);
+          break;
+        case Keys::kExtremes:
+          for (auto& k : q.key)
+            k = extremes[rng.uniform(extremes.size())];
+          break;
+      }
+    }
+    return stream;
+  };
+  constexpr std::size_t kCapacity = 64;
+  const auto plans = [&] {
+    std::vector<std::vector<std::vector<std::uint32_t>>> out;
+    std::uint64_t seed = 1;
+    for (const std::size_t batch_size : {std::size_t{24}, kCapacity}) {
+      const std::size_t w = 4 * batch_size;
+      for (const std::size_t m : {std::size_t{1}, w / 2 + 3, w, 3 * w + 17}) {
+        for (const Keys mode :
+             {Keys::kWord0, Keys::kWord1, Keys::kWord2, Keys::kAllWords,
+              Keys::kDuplicates, Keys::kExtremes}) {
+          const auto stream = make_stream(m, mode, ++seed);
+          BatchPolicy policy;
+          policy.batch_size = batch_size;
+          policy.order = BatchOrder::kLocalityReorder;
+          auto got = plan_batches(stream, policy, kCapacity);
+          EXPECT_EQ(got, stable_sort_reference_plan(stream, batch_size))
+              << "m=" << m << " batch_size=" << batch_size
+              << " mode=" << static_cast<int>(mode);
+          out.push_back(std::move(got));
+        }
+      }
+    }
+    return out;
+  };
+  util::ThreadPool::set_global_threads(1);
+  const auto serial = plans();
+  util::ThreadPool::set_global_threads(8);
+  const auto parallel = plans();
+  util::ThreadPool::set_global_threads(0);
+  EXPECT_EQ(serial, parallel);
 }
 
 TEST(StreamPolicy, BatchSizeClampedToCapacity) {

@@ -6,6 +6,7 @@
 // endpoints) is handled, not rejected.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -100,6 +101,23 @@ TEST(Validate, OversizedBatchIsCapacityError) {
   EXPECT_THROW(validate_batch_size(17, 16, "test"), CapacityError);
   EXPECT_NO_THROW(validate_batch_size(16, 16, "test"));
   EXPECT_NO_THROW(validate_batch_size(0, 16, "test"));
+}
+
+TEST(Validate, StreamPositionsFitInUint32) {
+  constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_NO_THROW(validate_stream_positions(0, kMax, "test"));
+  EXPECT_NO_THROW(validate_stream_positions(kMax - 5, 5, "test"));
+  EXPECT_NO_THROW(validate_stream_positions(kMax, 0, "test"));
+  EXPECT_THROW(validate_stream_positions(0, kMax + 1, "test"), CapacityError);
+  EXPECT_THROW(validate_stream_positions(kMax - 5, 6, "test"), CapacityError);
+  EXPECT_THROW(validate_stream_positions(kMax, 1, "test"), CapacityError);
+  // No wrap in the check itself when either operand is already huge.
+  EXPECT_THROW(validate_stream_positions(
+                   1, std::numeric_limits<std::size_t>::max(), "test"),
+               CapacityError);
+  EXPECT_THROW(validate_stream_positions(
+                   std::numeric_limits<std::size_t>::max(), 0, "test"),
+               CapacityError);
 }
 
 TEST(Validate, HierarchicalLevelGapRejected) {
