@@ -67,7 +67,8 @@ RunResult run_one(std::size_t nkeys, Load load, std::int32_t cut_depth,
     global_multistep(tree.graph(), prog, qs);
   bench::TracedModel tm(topt);
   const auto shape = tree.graph().shape_for(qs.size());
-  const auto st = constrained_multisearch(tree.graph(), psi, prog, qs, tm.model, shape);
+  const auto st = constrained_multisearch(tree.graph(), psi, max_piece_size(psi),
+                                          prog, qs, tm.model, shape);
   if (!point.empty()) bench::emit_trace(tm.rec, topt, point);
   return {st, static_cast<double>(shape.size())};
 }

@@ -106,6 +106,7 @@ void IntervalTree::build() {
   const std::uint64_t gen = g_.generation();
   g_ = DistributedGraph(tree_nodes_ + chain_total);
   g_.set_generation(gen);
+  const auto edit = g_.edit();
   chain_owner_.assign(chain_total, kNoVertex);
   chain_pos_.assign(chain_total, 0);
   lchain_.assign(tree_nodes_, ChainMeta{});
@@ -113,7 +114,7 @@ void IntervalTree::build() {
 
   // Tree node records (vid == heap index).
   for (std::size_t t = 0; t < tree_nodes_; ++t) {
-    auto& rec = g_.vert(static_cast<Vid>(t));
+    auto& rec = edit.vert(static_cast<Vid>(t));
     const bool leaf = t >= leaf_offset_;
     rec.key[6] = leaf ? kLeaf : kInternal;
     rec.key[0] = leaf ? leaf_value(t - leaf_offset_)
@@ -129,13 +130,13 @@ void IntervalTree::build() {
   // then its parent, then any chain heads — so the down edges are added for
   // all nodes before any up edge, one direction at a time.
   for (std::size_t t = 0; t < leaf_offset_; ++t) {
-    g_.add_edge(static_cast<Vid>(t), static_cast<Vid>(2 * t + 1));
-    g_.add_edge(static_cast<Vid>(t), static_cast<Vid>(2 * t + 2));
+    edit.add_edge(static_cast<Vid>(t), static_cast<Vid>(2 * t + 1));
+    edit.add_edge(static_cast<Vid>(t), static_cast<Vid>(2 * t + 2));
   }
   for (std::size_t t = 1; t < tree_nodes_; ++t) {
-    auto& rec = g_.vert(static_cast<Vid>(t));
+    auto& rec = edit.vert(static_cast<Vid>(t));
     rec.key[3] = rec.degree;  // parent's slot
-    g_.add_edge(static_cast<Vid>(t), static_cast<Vid>((t - 1) / 2));
+    edit.add_edge(static_cast<Vid>(t), static_cast<Vid>((t - 1) / 2));
   }
 
   // Chain vertices: `cap` consecutive vids per chain, real nodes first,
@@ -165,7 +166,7 @@ void IntervalTree::build() {
     Vid prev = owner;
     for (std::size_t j = 0; j < cap; ++j) {
       const Vid cv = next_vid++;
-      auto& rec = g_.vert(cv);
+      auto& rec = edit.vert(cv);
       if (j < idxs.size()) {
         const auto& iv = intervals_[static_cast<std::size_t>(idxs[j])];
         rec.key[0] = iv.lo;
@@ -187,13 +188,13 @@ void IntervalTree::build() {
       // Edge to predecessor: appended as the chain node's nbr[0]; the head
       // position within the owner is recorded in the owner's key[1]/key[2].
       if (j == 0) {
-        auto& orec = g_.vert(owner);
+        auto& orec = edit.vert(owner);
         const std::int64_t slot = orec.degree;  // where cv will land
-        g_.add_undirected_edge(owner, cv);
+        edit.add_undirected_edge(owner, cv);
         meta.head_slot = slot;
         (left_chain ? orec.key[1] : orec.key[2]) = slot;
       } else {
-        g_.add_undirected_edge(prev, cv);
+        edit.add_undirected_edge(prev, cv);
       }
       prev = cv;
     }
@@ -205,7 +206,7 @@ void IntervalTree::build() {
                 rchain_[t]);
   }
   MS_CHECK(static_cast<std::size_t>(next_vid) == g_.vertex_count());
-  g_.validate();
+  msearch::validate_graph(g_, "interval-tree");
 }
 
 void IntervalTree::rewrite_chain(
@@ -237,8 +238,9 @@ void IntervalTree::rewrite_chain(
                 const auto &ia = interval_of(a), &ib = interval_of(b);
                 return ia.hi != ib.hi ? ia.hi > ib.hi : a < b;
               });
+  const auto edit = g_.edit();
   for (std::size_t j = 0; j < meta.cap; ++j) {
-    auto& rec = g_.vert(meta.first + static_cast<Vid>(j));
+    auto& rec = edit.vert(meta.first + static_cast<Vid>(j));
     std::int64_t lo, hi, has_next, id;
     if (j < sorted.size()) {
       const Interval& iv = interval_of(sorted[j]);
@@ -264,7 +266,7 @@ void IntervalTree::rewrite_chain(
   // An emptied chain parks the owner's head index at -1 (the query then
   // skips the detour entirely, like a node that never had intervals); the
   // first insert restores the recorded slot.
-  auto& orec = g_.vert(t);
+  auto& orec = edit.vert(t);
   std::int64_t& head = left_chain ? orec.key[1] : orec.key[2];
   const std::int64_t want = sorted.empty() ? -1 : meta.head_slot;
   if (head != want) {

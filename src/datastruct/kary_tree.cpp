@@ -67,14 +67,15 @@ void KaryTree::build() {
   fill_payloads();
 
   // Edges: children first (so nbr[0..nc-1] are children), then parents.
+  const auto edit = g_.edit();
   for (std::int32_t d = 0; d < height_; ++d) {
     const std::size_t off = level_offset(k_, d);
     const std::size_t coff = level_offset(k_, d + 1);
     const std::size_t width = pow_k(k_, d);
     for (std::size_t i = 0; i < width; ++i)
       for (unsigned c = 0; c < k_; ++c)
-        g_.add_edge(static_cast<Vid>(off + i),
-                    static_cast<Vid>(coff + i * k_ + c));
+        edit.add_edge(static_cast<Vid>(off + i),
+                      static_cast<Vid>(coff + i * k_ + c));
   }
   if (mode_ == TreeMode::kUndirected) {
     for (std::int32_t d = 1; d <= height_; ++d) {
@@ -82,11 +83,11 @@ void KaryTree::build() {
       const std::size_t poff = level_offset(k_, d - 1);
       const std::size_t width = pow_k(k_, d);
       for (std::size_t i = 0; i < width; ++i)
-        g_.add_edge(static_cast<Vid>(off + i),
-                    static_cast<Vid>(poff + i / k_));
+        edit.add_edge(static_cast<Vid>(off + i),
+                      static_cast<Vid>(poff + i / k_));
     }
   }
-  g_.validate();
+  msearch::validate_graph(g_, "kary-tree");
 }
 
 void KaryTree::fill_payloads() {
@@ -98,13 +99,14 @@ void KaryTree::fill_payloads() {
   auto leaf_min = [&](std::size_t leaf_idx) {
     return leaf_idx < key_set_.size() ? key_set_[leaf_idx].key : kSentinel;
   };
+  const auto edit = g_.edit();
 
   for (std::int32_t d = 0; d <= height_; ++d) {
     const std::size_t off = level_offset(k_, d);
     const std::size_t width = pow_k(k_, d);
     const std::size_t span = pow_k(k_, height_ - d);  // leaves per subtree
     for (std::size_t i = 0; i < width; ++i) {
-      auto& rec = g_.vert(static_cast<Vid>(off + i));
+      auto& rec = edit.vert(static_cast<Vid>(off + i));
       rec.level = d;
       const std::size_t first_leaf = i * span;
       const std::size_t sib_first_leaf = (i - i % k_) * span;

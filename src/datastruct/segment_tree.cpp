@@ -44,8 +44,9 @@ SegmentTree::SegmentTree(const std::vector<Interval>& intervals) {
   height_ = static_cast<std::int32_t>(mesh::floor_log2(leaves));
 
   g_ = DistributedGraph(total);
+  const auto edit = g_.edit();
   for (std::size_t t = 0; t < total; ++t) {
-    auto& rec = g_.vert(static_cast<Vid>(t));
+    auto& rec = edit.vert(static_cast<Vid>(t));
     rec.level = static_cast<std::int32_t>(mesh::floor_log2(t + 1));
     rec.key[2] = 0;
     if (t >= leaf_off) {
@@ -67,8 +68,8 @@ SegmentTree::SegmentTree(const std::vector<Interval>& intervals) {
       rec.key[0] = coords_[b / 2 - 1];
       rec.key[1] = 1;  // left iff x <= e
     }
-    g_.add_edge(static_cast<Vid>(t), static_cast<Vid>(2 * t + 1));
-    g_.add_edge(static_cast<Vid>(t), static_cast<Vid>(2 * t + 2));
+    edit.add_edge(static_cast<Vid>(t), static_cast<Vid>(2 * t + 1));
+    edit.add_edge(static_cast<Vid>(t), static_cast<Vid>(2 * t + 2));
   }
 
   // Canonical-set insertion: count++ at every maximal node whose leaf range
@@ -91,7 +92,7 @@ SegmentTree::SegmentTree(const std::vector<Interval>& intervals) {
       stack.pop_back();
       if (f.hi < a || f.lo > b) continue;
       if (a <= f.lo && f.hi <= b) {
-        ++g_.vert(static_cast<Vid>(f.t)).key[2];
+        ++edit.vert(static_cast<Vid>(f.t)).key[2];
         continue;
       }
       const std::size_t mid = (f.lo + f.hi) / 2;
@@ -99,7 +100,7 @@ SegmentTree::SegmentTree(const std::vector<Interval>& intervals) {
       stack.push_back({2 * f.t + 2, mid + 1, f.hi});
     }
   }
-  g_.validate();
+  msearch::validate_graph(g_, "segment-tree");
 }
 
 Vid SegmentTree::StabCount::next(const VertexRecord& v, Query& q) const {

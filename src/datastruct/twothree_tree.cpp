@@ -37,6 +37,7 @@ TwoThreeTree::TwoThreeTree(const std::vector<std::int64_t>& keys) {
   for (std::size_t w = keys.size(); w > 1; w = parents_of(w))
     total += parents_of(w);
   g_ = DistributedGraph(total);
+  const auto edit = g_.edit();
 
   // Second pass: materialize nodes level by level, leaves first.
   std::vector<Vid> cur(keys.size());
@@ -46,7 +47,7 @@ TwoThreeTree::TwoThreeTree(const std::vector<std::int64_t>& keys) {
     const Vid v = next_vid++;
     cur[i] = v;
     cur_min[i] = keys[i];
-    auto& rec = g_.vert(v);
+    auto& rec = edit.vert(v);
     rec.key[0] = keys[i];
     rec.key[6] = 0;
   }
@@ -65,10 +66,10 @@ TwoThreeTree::TwoThreeTree(const std::vector<std::int64_t>& keys) {
       else
         take = 3;
       const Vid v = next_vid++;
-      auto& rec = g_.vert(v);
+      auto& rec = edit.vert(v);
       rec.key[6] = static_cast<std::int64_t>(take);
       for (std::size_t c = 0; c < take; ++c) {
-        g_.add_edge(v, cur[i + c]);
+        edit.add_edge(v, cur[i + c]);
         if (c >= 1) rec.key[c - 1] = cur_min[i + c];
       }
       up.push_back(v);
@@ -83,17 +84,17 @@ TwoThreeTree::TwoThreeTree(const std::vector<std::int64_t>& keys) {
 
   // Depth labels via BFS from the root.
   std::deque<Vid> frontier{root_};
-  g_.vert(root_).level = 0;
+  edit.vert(root_).level = 0;
   while (!frontier.empty()) {
     const Vid u = frontier.front();
     frontier.pop_front();
     const auto& rec = g_.vert(u);
     for (std::uint8_t d = 0; d < rec.degree; ++d) {
-      g_.vert(rec.nbr[d]).level = rec.level + 1;
+      edit.vert(rec.nbr[d]).level = rec.level + 1;
       frontier.push_back(rec.nbr[d]);
     }
   }
-  g_.validate();
+  msearch::validate_graph(g_, "twothree-tree");
 }
 
 Vid TwoThreeTree::Lookup::next(const VertexRecord& v, Query& q) const {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "multisearch/query.hpp"
+#include "multisearch/validate.hpp"
 #include "util/check.hpp"
 
 namespace meshsearch::ds {
@@ -25,13 +26,14 @@ DistributedGraph build_hierarchical_dag(std::size_t n_target, double mu,
     total += w;
   }
   DistributedGraph g(total);
+  const auto edit = g.edit();
   // Level offsets; vids are level-contiguous.
   std::vector<std::size_t> offset(level_size.size() + 1, 0);
   for (std::size_t i = 0; i < level_size.size(); ++i)
     offset[i + 1] = offset[i] + level_size[i];
   for (std::size_t i = 0; i < level_size.size(); ++i)
     for (std::size_t j = 0; j < level_size[i]; ++j)
-      g.vert(static_cast<Vid>(offset[i] + j)).level =
+      edit.vert(static_cast<Vid>(offset[i] + j)).level =
           static_cast<std::int32_t>(i);
   // Edges: each vertex at level i gets `fanout` distinct-ish targets at
   // level i+1; additionally target j takes an edge from source j % |L_i| so
@@ -41,7 +43,7 @@ DistributedGraph build_hierarchical_dag(std::size_t n_target, double mu,
     for (std::size_t j = 0; j < wn; ++j) {
       const Vid src = static_cast<Vid>(offset[i] + (j % wi));
       const Vid dst = static_cast<Vid>(offset[i + 1] + j);
-      if (!g.has_edge(src, dst)) g.add_edge(src, dst);
+      if (!g.has_edge(src, dst)) edit.add_edge(src, dst);
     }
     for (std::size_t j = 0; j < wi; ++j) {
       const Vid src = static_cast<Vid>(offset[i] + j);
@@ -49,11 +51,11 @@ DistributedGraph build_hierarchical_dag(std::size_t n_target, double mu,
         if (g.vert(src).degree >= msearch::kMaxDegree) break;
         const Vid dst =
             static_cast<Vid>(offset[i + 1] + rng.uniform(wn));
-        if (!g.has_edge(src, dst)) g.add_edge(src, dst);
+        if (!g.has_edge(src, dst)) edit.add_edge(src, dst);
       }
     }
   }
-  g.validate();
+  msearch::validate_graph(g, "hierarchical-dag");
   return g;
 }
 
@@ -69,16 +71,17 @@ CombGraph build_comb(std::size_t teeth, std::size_t tooth_len) {
   comb.spine_height = static_cast<std::int32_t>(mesh::floor_log2(teeth));
   comb.graph = DistributedGraph(spine_nodes + teeth * tooth_len);
   auto& g = comb.graph;
+  const auto edit = g.edit();
   // Spine in heap order; payload key[6] = node type (0 spine internal,
   // 1 spine leaf, 2 tooth), level = depth.
   for (std::size_t t = 0; t < spine_nodes; ++t) {
-    auto& rec = g.vert(static_cast<Vid>(t));
+    auto& rec = edit.vert(static_cast<Vid>(t));
     rec.level = static_cast<std::int32_t>(mesh::floor_log2(t + 1));
     rec.key[6] = t < teeth - 1 ? 0 : 1;
   }
   for (std::size_t t = 0; t + 1 < teeth; ++t) {
-    g.add_edge(static_cast<Vid>(t), static_cast<Vid>(2 * t + 1));
-    g.add_edge(static_cast<Vid>(t), static_cast<Vid>(2 * t + 2));
+    edit.add_edge(static_cast<Vid>(t), static_cast<Vid>(2 * t + 1));
+    edit.add_edge(static_cast<Vid>(t), static_cast<Vid>(2 * t + 2));
   }
   // Teeth: tooth i occupies vids [spine_nodes + i*len, ... + len).
   for (std::size_t i = 0; i < teeth; ++i) {
@@ -86,14 +89,14 @@ CombGraph build_comb(std::size_t teeth, std::size_t tooth_len) {
     Vid prev = leaf;
     for (std::size_t j = 0; j < tooth_len; ++j) {
       const Vid cur = static_cast<Vid>(spine_nodes + i * tooth_len + j);
-      auto& rec = g.vert(cur);
+      auto& rec = edit.vert(cur);
       rec.key[6] = 2;
       rec.level = comb.spine_height + 1 + static_cast<std::int32_t>(j);
-      g.add_edge(prev, cur);
+      edit.add_edge(prev, cur);
       prev = cur;
     }
   }
-  g.validate();
+  msearch::validate_graph(g, "comb");
   // Alpha-splitting: spine = piece 0 (head), tooth i (including nothing of
   // the spine) = piece 1+i (tail).
   auto& s = comb.splitting;
@@ -135,6 +138,7 @@ RandomPartitionable build_random_partitionable(std::size_t k1, std::size_t k2,
   RandomPartitionable out;
   const std::size_t total = (k1 + k2) * piece_size;
   out.graph = DistributedGraph(total);
+  const auto edit = out.graph.edit();
   auto& s = out.splitting;
   s.piece.assign(total, -1);
   s.kind.assign(k1 + k2, msearch::PieceKind::kTail);
@@ -154,7 +158,7 @@ RandomPartitionable build_random_partitionable(std::size_t k1, std::size_t k2,
       for (unsigned f = 0; f < edges; ++f) {
         const Vid w =
             static_cast<Vid>(base(pc) + j + 1 + rng.uniform(forward));
-        if (!out.graph.has_edge(v, w)) out.graph.add_edge(v, w);
+        if (!out.graph.has_edge(v, w)) edit.add_edge(v, w);
       }
     }
   }
@@ -168,11 +172,11 @@ RandomPartitionable build_random_partitionable(std::size_t k1, std::size_t k2,
         continue;
       const std::size_t tpc = k1 + rng.uniform(k2);
       const Vid w = static_cast<Vid>(base(tpc) + rng.uniform(piece_size / 2));
-      if (!out.graph.has_edge(u, w)) out.graph.add_edge(u, w);
+      if (!out.graph.has_edge(u, w)) edit.add_edge(u, w);
     }
     out.entry.push_back(static_cast<Vid>(base(pc)));
   }
-  out.graph.validate();
+  msearch::validate_graph(out.graph, "random-partitionable");
   const double n = static_cast<double>(total);
   s.delta = std::log(static_cast<double>(piece_size)) /
             std::log(std::max(2.0, n));

@@ -36,6 +36,7 @@ ExtremeDag build_extreme_dag(const HierarchyLevels& h) {
 
   ExtremeDag out;
   out.dag = msearch::DistributedGraph(total);
+  const auto edit = out.dag.edit();
   // Index of each vertex within its layer, for descend targets.
   std::vector<std::unordered_map<std::int32_t, std::int32_t>> pos(L);
   for (std::size_t l = 0; l < L; ++l)
@@ -46,7 +47,7 @@ ExtremeDag build_extreme_dag(const HierarchyLevels& h) {
   auto fill_slot = [&](std::int32_t vid, std::int32_t level,
                        std::int32_t cand_id, std::int32_t ring_len,
                        std::int32_t ring_next, std::int32_t descend) {
-    auto& rec = out.dag.vert(vid);
+    auto& rec = edit.vert(vid);
     rec.level = level;
     const auto& p = h.pts[static_cast<std::size_t>(cand_id)];
     rec.key[0] = p.x;
@@ -55,8 +56,8 @@ ExtremeDag build_extreme_dag(const HierarchyLevels& h) {
     rec.key[3] = ring_len;
     rec.key[4] = cand_id;
     rec.key[6] = descend >= 0 ? 1 : 0;
-    if (ring_next >= 0) out.dag.add_edge(vid, ring_next);
-    if (descend >= 0) out.dag.add_edge(vid, descend);
+    if (ring_next >= 0) edit.add_edge(vid, ring_next);
+    if (descend >= 0) edit.add_edge(vid, descend);
   };
 
   // Descend target of a slot whose candidate z lives in layer l: the ring
@@ -93,7 +94,7 @@ ExtremeDag build_extreme_dag(const HierarchyLevels& h) {
       }
     }
   }
-  out.dag.validate();
+  msearch::validate_graph(out.dag, "dk-hierarchy");
   out.level_work = 2 * max_ring;
   out.root = 0;
 

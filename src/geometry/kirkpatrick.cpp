@@ -263,10 +263,11 @@ void Kirkpatrick::build_dag() {
   const std::uint64_t gen = dag_.generation();
   dag_ = msearch::DistributedGraph(total);
   dag_.set_generation(gen);
+  const auto edit = dag_.edit();
 
   // Root slot: the bounding triangle, descending into its chain.
   {
-    auto& rec = dag_.vert(0);
+    auto& rec = edit.vert(0);
     rec.level = 0;
     const auto& tv = levels_[S].tri[0];
     for (int k = 0; k < 3; ++k) {
@@ -276,7 +277,7 @@ void Kirkpatrick::build_dag() {
     rec.key[6] = 2;  // descend only
     rec.key[7] = 0;
   }
-  dag_.add_edge(0, head[S][0]);
+  edit.add_edge(0, head[S][0]);
 
   std::int32_t max_chain = 1;
   for (std::size_t s = S; s >= 1; --s) {
@@ -286,7 +287,7 @@ void Kirkpatrick::build_dag() {
       max_chain = std::max(max_chain, static_cast<std::int32_t>(kids.size()));
       for (std::size_t k = 0; k < kids.size(); ++k) {
         const auto vid = head[s][j] + static_cast<std::int32_t>(k);
-        auto& rec = dag_.vert(vid);
+        auto& rec = edit.vert(vid);
         rec.level = dag_level;
         const auto child = kids[k];
         const auto& tv = levels_[s - 1].tri[static_cast<std::size_t>(child)];
@@ -300,17 +301,17 @@ void Kirkpatrick::build_dag() {
         std::int64_t flags = 0;
         if (k + 1 < kids.size()) {
           flags |= 1;  // chain next
-          dag_.add_edge(vid, vid + 1);
+          edit.add_edge(vid, vid + 1);
         }
         if (s >= 2) {
           flags |= 2;  // descend
-          dag_.add_edge(vid, head[s - 1][static_cast<std::size_t>(child)]);
+          edit.add_edge(vid, head[s - 1][static_cast<std::size_t>(child)]);
         }
         rec.key[6] = flags;
       }
     }
   }
-  dag_.validate();
+  msearch::validate_graph(dag_, "kirkpatrick");
 
   level_work_ = 2 * max_chain;
   // Measured growth ratio of DAG level sizes (DAG levels run 0..S).

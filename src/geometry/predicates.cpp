@@ -11,9 +11,12 @@ int sign_of(Wide v) { return v > 0 ? 1 : (v < 0 ? -1 : 0); }
 }  // namespace
 
 int orient2d(const Point2& a, const Point2& b, const Point2& c) {
+  // c may be a query point anywhere in int64, where c - a would overflow,
+  // so (b - a) x (c - a) is expanded and c enters only as a widened factor.
+  // b - a fits (triangle corners lie within kMaxCoord), so every product is
+  // one 64x64 -> 128 multiply and the sum fits in __int128.
   const Wide abx = b.x - a.x, aby = b.y - a.y;
-  const Wide acx = c.x - a.x, acy = c.y - a.y;
-  return sign_of(abx * acy - aby * acx);
+  return sign_of(abx * c.y - abx * a.y - aby * c.x + aby * a.x);
 }
 
 int orient3d(const Point3& a, const Point3& b, const Point3& c,

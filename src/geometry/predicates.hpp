@@ -27,7 +27,8 @@ struct Point3 {
 };
 
 /// Sign of the cross product (b-a) x (c-a): > 0 if a,b,c make a left turn
-/// (counter-clockwise), < 0 right turn, 0 collinear.
+/// (counter-clockwise), < 0 right turn, 0 collinear. Exact for a and b
+/// within kMaxCoord and c anywhere in int64 (a query point).
 int orient2d(const Point2& a, const Point2& b, const Point2& c);
 
 /// Sign of det[b-a; c-a; d-a]: > 0 iff (a,b,c) appears counter-clockwise

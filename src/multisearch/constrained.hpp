@@ -46,9 +46,12 @@ struct ConstrainedStats {
   std::size_t rounds = 0;    ///< max rounds used by any copy (<= log2 n)
 };
 
+/// `max_piece` is the largest piece of `psi` (max_piece_size, or what
+/// validate_splitting_input returned): the floor of a copy's capacity.
 template <SearchProgram P>
 ConstrainedStats constrained_multisearch(const DistributedGraph& g,
-                                         const Splitting& psi, const P& prog,
+                                         const Splitting& psi,
+                                         std::size_t max_piece, const P& prog,
                                          std::vector<Query>& queries,
                                          const mesh::CostModel& m,
                                          mesh::MeshShape shape,
@@ -63,7 +66,7 @@ ConstrainedStats constrained_multisearch(const DistributedGraph& g,
       {std::size_t{1},
        static_cast<std::size_t>(std::ceil(std::pow(static_cast<double>(n),
                                                    psi.delta))),
-       max_piece_size(psi)});
+       max_piece});
   const double s_sub =
       static_cast<double>(mesh::MeshShape::for_elements(cap).size());
 

@@ -1,11 +1,12 @@
 #include "multisearch/graph.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 namespace meshsearch::msearch {
 
 DistributedGraph::DistributedGraph(std::size_t vertex_count)
-    : verts_(vertex_count) {
+    : verts_(vertex_count), edit_stamp_(next_edit_stamp()) {
   for (std::size_t i = 0; i < vertex_count; ++i)
     verts_[i].id = static_cast<Vid>(i);
 }
@@ -16,16 +17,22 @@ std::size_t DistributedGraph::size() const {
   return verts_.size() + edges;
 }
 
-void DistributedGraph::add_edge(Vid u, Vid w) {
-  MS_CHECK(u >= 0 && static_cast<std::size_t>(u) < verts_.size());
-  MS_CHECK(w >= 0 && static_cast<std::size_t>(w) < verts_.size());
+std::uint64_t DistributedGraph::next_edit_stamp() {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+void DistributedGraph::Editor::add_edge(Vid u, Vid w) const {
+  auto& verts = g_->verts_;
+  MS_CHECK(u >= 0 && static_cast<std::size_t>(u) < verts.size());
+  MS_CHECK(w >= 0 && static_cast<std::size_t>(w) < verts.size());
   MS_CHECK_MSG(u != w, "self loop");
-  auto& rec = verts_[static_cast<std::size_t>(u)];
+  auto& rec = verts[static_cast<std::size_t>(u)];
   MS_CHECK_MSG(rec.degree < kMaxDegree, "degree bound exceeded");
   rec.nbr[rec.degree++] = w;
 }
 
-void DistributedGraph::add_undirected_edge(Vid u, Vid w) {
+void DistributedGraph::Editor::add_undirected_edge(Vid u, Vid w) const {
   add_edge(u, w);
   add_edge(w, u);
 }
@@ -38,20 +45,6 @@ bool DistributedGraph::has_edge(Vid u, Vid w) const {
 
 mesh::MeshShape DistributedGraph::shape_for(std::size_t queries) const {
   return mesh::MeshShape::for_elements(std::max(verts_.size(), queries));
-}
-
-void DistributedGraph::validate() const {
-  for (std::size_t i = 0; i < verts_.size(); ++i) {
-    const auto& v = verts_[i];
-    MS_CHECK_MSG(v.id == static_cast<Vid>(i), "vertex id != address");
-    MS_CHECK(v.degree <= kMaxDegree);
-    for (std::uint8_t d = 0; d < v.degree; ++d) {
-      const Vid w = v.nbr[d];
-      MS_CHECK_MSG(w >= 0 && static_cast<std::size_t>(w) < verts_.size(),
-                   "neighbour out of range");
-      MS_CHECK_MSG(w != v.id, "self loop");
-    }
-  }
 }
 
 std::size_t DistributedGraph::max_degree() const {

@@ -27,29 +27,42 @@ class DistributedGraph {
   /// |V| + |E| (directed edge count; undirected edges count twice).
   std::size_t size() const;
 
-  VertexRecord& vert(Vid v) {
-    MS_DCHECK(v >= 0 && static_cast<std::size_t>(v) < verts_.size());
-    return verts_[static_cast<std::size_t>(v)];
-  }
   const VertexRecord& vert(Vid v) const {
     MS_DCHECK(v >= 0 && static_cast<std::size_t>(v) < verts_.size());
     return verts_[static_cast<std::size_t>(v)];
   }
   const std::vector<VertexRecord>& verts() const { return verts_; }
 
-  /// Append a directed edge u -> w to u's adjacency.
-  void add_edge(Vid u, Vid w);
-  /// Append both directions.
-  void add_undirected_edge(Vid u, Vid w);
+  /// Write access to the records and the adjacency, for structure builders
+  /// and hand-assembled graphs. Its accessors cost what a plain index does;
+  /// opening it (edit()) gives the graph a fresh edit stamp, once. A handle
+  /// is one write session: open a fresh one for every edit, and keep neither
+  /// it nor a record reference it handed out past a warm engine's prepare.
+  class Editor {
+   public:
+    VertexRecord& vert(Vid v) const {
+      MS_DCHECK(v >= 0 && static_cast<std::size_t>(v) < g_->verts_.size());
+      return g_->verts_[static_cast<std::size_t>(v)];
+    }
+    /// Append a directed edge u -> w to u's adjacency.
+    void add_edge(Vid u, Vid w) const;
+    /// Append both directions.
+    void add_undirected_edge(Vid u, Vid w) const;
+
+   private:
+    friend class DistributedGraph;
+    explicit Editor(DistributedGraph& g) : g_(&g) {}
+    DistributedGraph* g_;
+  };
+  Editor edit() {
+    edit_stamp_ = next_edit_stamp();
+    return Editor(*this);
+  }
 
   bool has_edge(Vid u, Vid w) const;
 
   /// Mesh holding this graph together with `queries` many queries.
   mesh::MeshShape shape_for(std::size_t queries) const;
-
-  /// Structural validation: ids consistent, neighbours in range, no
-  /// self-loops, degree within kMaxDegree. Throws on violation.
-  void validate() const;
 
   std::size_t max_degree() const;
 
@@ -63,10 +76,19 @@ class DistributedGraph {
   /// topological apply_updates fallback): carry the old stamp across the
   /// assignment, then bump. Never use this to rewind a stamp.
   void set_generation(std::uint64_t gen) { generation_ = gen; }
+  /// Names this content of the graph: a process-wide fresh value whenever a
+  /// graph is built or a write session is opened, the builders' own
+  /// included; copies share it. Assigning another graph over this one takes
+  /// that graph's stamp. Warm engines record it next to the generation, so
+  /// a write that bypasses apply_updates also makes them stale.
+  std::uint64_t edit_stamp() const { return edit_stamp_; }
 
  private:
+  static std::uint64_t next_edit_stamp();
+
   std::vector<VertexRecord> verts_;
   std::uint64_t generation_ = 0;
+  std::uint64_t edit_stamp_ = 0;
 };
 
 /// Visit semantics shared by all engines: q arrives at q.next, receives the

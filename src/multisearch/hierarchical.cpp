@@ -18,18 +18,9 @@ HierarchicalDag::HierarchicalDag(const DistributedGraph& g, double mu,
     : g_(&g), mu_(mu), level_work_(level_work) {
   if (!(mu > 1.0))
     invalid_input("hierarchical DAG requires mu > 1", "HierarchicalDag");
-  if (level_work < 1)
-    invalid_input("hierarchical DAG requires level_work >= 1",
-                  "HierarchicalDag");
-  // Level monotonicity, contiguity, and degree bounds — the full hardened
-  // check (also the front door for the Algorithm-1 builders).
-  validate_hierarchical_graph(g, level_work);
-  std::int32_t h = -1;
-  for (const auto& v : g.verts()) h = std::max(h, v.level);
-  MS_CHECK(h >= 0);
-  level_size_.assign(static_cast<std::size_t>(h) + 1, 0);
-  for (const auto& v : g.verts())
-    ++level_size_[static_cast<std::size_t>(v.level)];
+  // level_work, level monotonicity, contiguity, and degree bounds — the
+  // full hardened check (also the front door for the Algorithm-1 builders).
+  level_size_ = validate_hierarchical_graph(g, level_work);
   level_prefix_.assign(level_size_.size() + 1, 0);
   for (std::size_t i = 0; i < level_size_.size(); ++i)
     level_prefix_[i + 1] = level_prefix_[i] + level_size_[i];
@@ -321,7 +312,7 @@ Alg1RetrySchedule draw_alg1_retries(mesh::FaultPlan& fault,
   return s;
 }
 
-HierarchicalRunResult hierarchical_cost(
+HierarchicalRunResult detail::alg1_cost(
     const HierarchicalDag& dag, const HierarchicalPlan& plan,
     mesh::MeshShape shape, const mesh::CostModel& m,
     const std::vector<std::int32_t>* sweeps, bool charge_band_setup,
@@ -348,7 +339,7 @@ HierarchicalRunResult hierarchical_cost(
     res.level_sweeps[static_cast<std::size_t>(l)] =
         static_cast<std::int32_t>(sweeps_at(l));
 
-  // Standalone armed calls draw their own schedule; hierarchical_multisearch
+  // Standalone armed calls draw their own schedule; run_hierarchical
   // passes the one it already drew so the draws are never double-consumed.
   std::optional<Alg1RetrySchedule> own_retries;
   if (retries == nullptr && mt.fault != nullptr && mt.fault->armed()) {

@@ -152,7 +152,7 @@ struct HierarchicalRunResult {
 /// Per-unit retry schedule for Algorithm 1 under an armed FaultPlan: one
 /// draw for step 0 (initial multistep), one per band (its setup + Lemma-1
 /// solve as one checkpoint unit), one for the B* sweep — in that order.
-/// hierarchical_multisearch draws the schedule once and replays its failed
+/// detail::run_hierarchical draws the schedule once and replays its failed
 /// attempts in both the host data pass and the charged cost, so the two
 /// stay consistent; hierarchical_cost draws its own only when called
 /// standalone with an armed fault.
@@ -168,37 +168,35 @@ struct Alg1RetrySchedule {
 Alg1RetrySchedule draw_alg1_retries(mesh::FaultPlan& fault,
                                     std::size_t num_bands);
 
-/// Cost of Algorithm 1 (steps 1-4) on `shape`. `sweeps` gives the number of
-/// RAR sweeps per DAG level; pass nullptr to charge the worst case
-/// (level_work sweeps per level). hierarchical_multisearch measures the
-/// realized sweeps during its data pass and charges those — still the
-/// lockstep-SIMD max over all queries, just not the static upper bound.
-/// `charge_band_setup` = false skips the per-band steps 1-3a charges (sort
-/// labels + duplicate B_i): a warm engine (stream.hpp PreparedSearch) pays
-/// band_setup_cost once at preparation and reuses the replicas per batch.
-/// `retries` replays an already-drawn fault schedule (see Alg1RetrySchedule);
-/// with a null `retries` and an armed m.fault the function draws its own.
-HierarchicalRunResult hierarchical_cost(
-    const HierarchicalDag& dag, const HierarchicalPlan& plan,
-    mesh::MeshShape shape, const mesh::CostModel& m,
-    const std::vector<std::int32_t>* sweeps = nullptr,
-    bool charge_band_setup = true, const Alg1RetrySchedule* retries = nullptr);
+namespace detail {
+/// Cost of Algorithm 1 (steps 1-4) as a run charges it: `sweeps` holds the
+/// realized sweeps per level (nullptr = the worst case, level_work sweeps);
+/// `charge_band_setup` = false skips every band's steps 1-3a, which a warm
+/// engine paid once at prepare; `retries` replays an already-drawn fault
+/// schedule (nullptr with an armed m.fault draws one).
+HierarchicalRunResult alg1_cost(const HierarchicalDag& dag,
+                                const HierarchicalPlan& plan,
+                                mesh::MeshShape shape,
+                                const mesh::CostModel& m,
+                                const std::vector<std::int32_t>* sweeps,
+                                bool charge_band_setup,
+                                const Alg1RetrySchedule* retries);
+}  // namespace detail
+
+/// Cost of Algorithm 1 (steps 1-4) on `shape` at the worst case, every
+/// band's steps 1-3a included. An armed m.fault draws its own schedule.
+inline HierarchicalRunResult hierarchical_cost(const HierarchicalDag& dag,
+                                               const HierarchicalPlan& plan,
+                                               mesh::MeshShape shape,
+                                               const mesh::CostModel& m) {
+  return detail::alg1_cost(dag, plan, shape, m, nullptr, true, nullptr);
+}
 
 /// Exactly the steps 1-3a charges hierarchical_cost makes per band (label
 /// registers, band sort, duplication into submeshes), summed over all bands
 /// of `plan` — the batch-invariant part a warm engine caches.
 mesh::Cost band_setup_cost(const HierarchicalPlan& plan, mesh::MeshShape shape,
                            const mesh::CostModel& m);
-
-/// Algorithm 1: run all queries through the DAG. Queries must start at the
-/// level-0 root (the w.l.o.g. full-path assumption of §3; programs whose
-/// paths end early simply stop being advanced). Returns the total cost and
-/// per-band breakdown.
-template <SearchProgram P>
-HierarchicalRunResult hierarchical_multisearch(
-    const HierarchicalDag& dag, const P& prog, std::vector<Query>& queries,
-    const mesh::CostModel& m, mesh::MeshShape shape,
-    PlanKind kind = PlanKind::kPaper, bool charge_band_setup = true);
 
 // ---------------------------------------------------------------------------
 // implementation
@@ -310,20 +308,18 @@ std::size_t advance_through_levels(const DistributedGraph& g, const P& prog,
   }
   return total;
 }
-}  // namespace detail
 
+/// Algorithm 1 over a structure its caller has checked: the graph validated
+/// and within `shape`, the batch within capacity, `plan` built from `dag` on
+/// `shape`. hierarchical_multisearch calls it after its front door; a warm
+/// engine (stream.hpp PreparedSearch) calls it on every batch with its
+/// cached plan and `charge_band_setup` = false. Paranoid mode audits every
+/// run here, warm ones included; `engine` names the run in its errors.
 template <SearchProgram P>
-HierarchicalRunResult hierarchical_multisearch(
-    const HierarchicalDag& dag, const P& prog, std::vector<Query>& queries,
-    const mesh::CostModel& m, mesh::MeshShape shape, PlanKind kind,
-    bool charge_band_setup) {
-  // Front door: reject malformed input before any phase is charged.
-  const char* engine =
-      kind == PlanKind::kPaper ? "alg1-paper" : "alg1-geometric";
-  validate_graph(dag.graph(), engine);
-  validate_graph_fits(dag.graph(), shape, engine);
-  validate_batch_size(queries.size(), shape.size(), engine);
-  const HierarchicalPlan plan = make_hierarchical_plan(dag, shape, kind);
+HierarchicalRunResult run_hierarchical(
+    const HierarchicalDag& dag, const HierarchicalPlan& plan, const P& prog,
+    std::vector<Query>& queries, const mesh::CostModel& m,
+    mesh::MeshShape shape, const char* engine, bool charge_band_setup) {
   reset_queries(queries);
   const DistributedGraph& g = dag.graph();
   // Paranoid mode: snapshot the post-reset input for the shadow oracle.
@@ -351,8 +347,7 @@ HierarchicalRunResult hierarchical_multisearch(
     for (std::uint32_t a = 0; a < failed; ++a) {
       std::vector<Query> scratch = queries;
       std::vector<std::int32_t> scratch_sweeps = sweeps;
-      detail::advance_through_levels(g, prog, scratch, hi, visit_cap,
-                                     scratch_sweeps);
+      advance_through_levels(g, prog, scratch, hi, visit_cap, scratch_sweeps);
     }
   };
   std::size_t total_visits = 0;
@@ -361,21 +356,42 @@ HierarchicalRunResult hierarchical_multisearch(
     for (std::size_t i = 0; i < plan.bands.size(); ++i) {
       if (retries) wasted_attempts(retries->bands[i].failed_attempts,
                                    plan.bands[i].hi);
-      total_visits += detail::advance_through_levels(
-          g, prog, queries, plan.bands[i].hi, visit_cap, sweeps);
+      total_visits += advance_through_levels(g, prog, queries, plan.bands[i].hi,
+                                             visit_cap, sweeps);
     }
     if (retries) wasted_attempts(retries->bstar.failed_attempts, dag.height());
-    total_visits += detail::advance_through_levels(g, prog, queries,
-                                                   dag.height(), visit_cap,
-                                                   sweeps);
+    total_visits += advance_through_levels(g, prog, queries, dag.height(),
+                                           visit_cap, sweeps);
   }
   for (auto& s : sweeps) s = std::max(s, 1);
   HierarchicalRunResult res =
-      hierarchical_cost(dag, plan, shape, m, &sweeps, charge_band_setup,
-                        retries ? &*retries : nullptr);
+      alg1_cost(dag, plan, shape, m, &sweeps, charge_band_setup,
+                retries ? &*retries : nullptr);
   res.total_visits = total_visits;
   if (paranoid) paranoid_audit(g, prog, std::move(shadow), queries, engine);
   return res;
+}
+}  // namespace detail
+
+/// Algorithm 1: run all queries through the DAG. Queries must start at the
+/// level-0 root (the w.l.o.g. full-path assumption of §3; programs whose
+/// paths end early simply stop being advanced). Returns the total cost and
+/// per-band breakdown. Checks the graph, its fit and the batch size, and
+/// builds the band plan, on every call.
+template <SearchProgram P>
+HierarchicalRunResult hierarchical_multisearch(
+    const HierarchicalDag& dag, const P& prog, std::vector<Query>& queries,
+    const mesh::CostModel& m, mesh::MeshShape shape,
+    PlanKind kind = PlanKind::kPaper) {
+  // Front door: reject malformed input before any phase is charged.
+  const char* engine =
+      kind == PlanKind::kPaper ? "alg1-paper" : "alg1-geometric";
+  validate_graph(dag.graph(), engine);
+  validate_graph_fits(dag.graph(), shape, engine);
+  validate_batch_size(queries.size(), shape.size(), engine);
+  return detail::run_hierarchical(dag, make_hierarchical_plan(dag, shape, kind),
+                                  prog, queries, m, shape, engine,
+                                  /*charge_band_setup=*/true);
 }
 
 }  // namespace meshsearch::msearch

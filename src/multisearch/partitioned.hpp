@@ -40,18 +40,21 @@ std::size_t global_multistep(const DistributedGraph& g, const P& prog,
   return advance_all(g, prog, queries);
 }
 
+namespace detail {
+/// Algorithms 2/3 over a structure its caller has checked: the graph
+/// validated and within `shape`, both splittings validated against it, the
+/// batch within capacity. `max_a` and `max_b` are the largest pieces of
+/// `psi_a` and `psi_b` (validate_splitting_input returns them), passed into
+/// every Lemma-3 call. multisearch_partitioned calls it after its front
+/// door; a warm engine (stream.hpp PreparedSearch) calls it on every batch
+/// with the splittings and sizes it checked at prepare. Paranoid mode audits
+/// every run here, warm ones included; `engine` names the run in its errors.
 template <SearchProgram P>
-PartitionedRunResult multisearch_partitioned(
-    const DistributedGraph& g, const Splitting& psi_a, const Splitting& psi_b,
-    const P& prog, std::vector<Query>& queries, const mesh::CostModel& m,
-    mesh::MeshShape shape, bool duplicate_copies = true) {
-  // Front door: reject malformed input before any phase is charged.
-  constexpr const char* kEngine = "partitioned";
-  validate_graph(g, kEngine);
-  validate_splitting_input(g, psi_a, kEngine);
-  validate_splitting_input(g, psi_b, kEngine);
-  validate_graph_fits(g, shape, kEngine);
-  validate_batch_size(queries.size(), shape.size(), kEngine);
+PartitionedRunResult run_partitioned(
+    const DistributedGraph& g, const Splitting& psi_a, std::size_t max_a,
+    const Splitting& psi_b, std::size_t max_b, const P& prog,
+    std::vector<Query>& queries, const mesh::CostModel& m,
+    mesh::MeshShape shape, const char* engine, bool duplicate_copies = true) {
   PartitionedRunResult res;
   const double p = static_cast<double>(shape.size());
   reset_queries(queries);
@@ -60,66 +63,62 @@ PartitionedRunResult multisearch_partitioned(
   std::vector<Query> shadow;
   if (paranoid) shadow = queries;
   TRACE_SPAN(m.trace, "partitioned multisearch");
+  // One step of a log-phase, checkpointing `queries` via recovered_phase: a
+  // failed attempt re-runs (and re-charges) the step, then state rolls
+  // back, so the visit count kept is the final successful attempt's. A
+  // global multistep (one full-mesh RAR) when `psi` is null, else one whole
+  // Constrained-Multisearch call (its steps 1-6) over `psi`.
+  const auto step = [&](const char* span, const char* phase,
+                        const Splitting* psi, std::size_t max_piece) {
+    trace::SpanScope s(m.trace, span);
+    std::size_t advanced = 0;
+    res.cost += recovered_phase(m, p, phase, queries, [&] {
+      if (psi == nullptr) {
+        advanced = global_multistep(g, prog, queries);
+        return m.rar(p);
+      }
+      const auto st = constrained_multisearch(g, *psi, max_piece, prog,
+                                              queries, m, shape,
+                                              duplicate_copies);
+      advanced = st.advanced;
+      return st.cost;
+    });
+    res.total_visits += advanced;
+  };
   while (!all_done(queries)) {
     trace::SpanScope phase_span(
         m.trace, "log-phase " + std::to_string(res.log_phases));
-    // Each step checkpoints `queries` via detail::recovered_phase: a failed
-    // attempt re-runs (and re-charges) the step, then state rolls back, so
-    // the visit/advance counters written inside the bodies always hold the
-    // final successful attempt's values.
-    {
-      // Step 1: visit first/next node.
-      trace::SpanScope s(m.trace, "phase.step1: global multistep");
-      std::size_t advanced = 0;
-      res.cost += detail::recovered_phase(m, p, "phase.step1", queries, [&] {
-        advanced = global_multistep(g, prog, queries);
-        return m.rar(p);
-      });
-      res.total_visits += advanced;
-    }
-    {
-      // Step 2. The whole Constrained-Multisearch call (its steps 1-6) is
-      // one checkpoint unit.
-      trace::SpanScope s(m.trace, "phase.step2: constrained(Psi_A)");
-      std::size_t advanced = 0;
-      res.cost += detail::recovered_phase(m, p, "phase.step2", queries, [&] {
-        const auto s2 = constrained_multisearch(g, psi_a, prog, queries, m,
-                                                shape, duplicate_copies);
-        advanced = s2.advanced;
-        return s2.cost;
-      });
-      res.total_visits += advanced;
-    }
-    {
-      // Step 3.
-      trace::SpanScope s(m.trace, "phase.step3: global multistep");
-      std::size_t advanced = 0;
-      res.cost += detail::recovered_phase(m, p, "phase.step3", queries, [&] {
-        advanced = global_multistep(g, prog, queries);
-        return m.rar(p);
-      });
-      res.total_visits += advanced;
-    }
-    {
-      // Step 4.
-      trace::SpanScope s(m.trace, "phase.step4: constrained(Psi_B)");
-      std::size_t advanced = 0;
-      res.cost += detail::recovered_phase(m, p, "phase.step4", queries, [&] {
-        const auto s4 = constrained_multisearch(g, psi_b, prog, queries, m,
-                                                shape, duplicate_copies);
-        advanced = s4.advanced;
-        return s4.cost;
-      });
-      res.total_visits += advanced;
-    }
+    step("phase.step1: global multistep", "phase.step1", nullptr, 0);
+    step("phase.step2: constrained(Psi_A)", "phase.step2", &psi_a, max_a);
+    step("phase.step3: global multistep", "phase.step3", nullptr, 0);
+    step("phase.step4: constrained(Psi_B)", "phase.step4", &psi_b, max_b);
     res.constrained_calls += 2;
     ++res.log_phases;
     // Termination check: a reduction over query flags.
     res.cost += m.reduce(p);
   }
   res.longest_path = max_steps(queries);
-  if (paranoid) paranoid_audit(g, prog, std::move(shadow), queries, kEngine);
+  if (paranoid) paranoid_audit(g, prog, std::move(shadow), queries, engine);
   return res;
+}
+}  // namespace detail
+
+/// Algorithms 2 and 3 (below) share this entry. Checks the graph, both
+/// splittings, the fit and the batch size on every call.
+template <SearchProgram P>
+PartitionedRunResult multisearch_partitioned(
+    const DistributedGraph& g, const Splitting& psi_a, const Splitting& psi_b,
+    const P& prog, std::vector<Query>& queries, const mesh::CostModel& m,
+    mesh::MeshShape shape, bool duplicate_copies = true) {
+  // Front door: reject malformed input before any phase is charged.
+  constexpr const char* kEngine = "partitioned";
+  validate_graph(g, kEngine);
+  const std::size_t max_a = validate_splitting_input(g, psi_a, kEngine);
+  const std::size_t max_b = validate_splitting_input(g, psi_b, kEngine);
+  validate_graph_fits(g, shape, kEngine);
+  validate_batch_size(queries.size(), shape.size(), kEngine);
+  return detail::run_partitioned(g, psi_a, max_a, psi_b, max_b, prog, queries,
+                                 m, shape, kEngine, duplicate_copies);
 }
 
 /// Algorithm 2: alpha-partitionable directed graphs (Theorem 5).

@@ -24,14 +24,8 @@ std::size_t max_piece_size(const Splitting& s) {
   return sizes.empty() ? 0 : *std::max_element(sizes.begin(), sizes.end());
 }
 
-void validate_splitting(const DistributedGraph& g, const Splitting& s) {
-  // Delegates to the typed front-door validator so a malformed splitting
-  // surfaces as InvalidInputError wherever it is checked.
-  validate_splitting_input(g, s, "splitting");
-}
-
 void validate_alpha_splitting(const DistributedGraph& g, const Splitting& s) {
-  validate_splitting(g, s);
+  validate_splitting_input(g, s, "splitting");
   for (std::size_t u = 0; u < g.vertex_count(); ++u) {
     const auto& rec = g.vert(static_cast<Vid>(u));
     const std::int32_t pu = s.piece[u];

@@ -36,9 +36,6 @@ std::size_t max_piece_size(const Splitting& s);
 /// kTail piece. Throws with a diagnostic on violation.
 void validate_alpha_splitting(const DistributedGraph& g, const Splitting& s);
 
-/// Check an (untyped) splitting: piece ids in range, every vertex covered.
-void validate_splitting(const DistributedGraph& g, const Splitting& s);
-
 /// Border vertices of a splitting: endpoints of cross-piece edges.
 std::vector<Vid> border_vertices(const DistributedGraph& g, const Splitting& s);
 

@@ -20,10 +20,13 @@
 //     plan, Alg 2, Alg 3). Construction charges the one-time setup through
 //     the CostModel (so it lands in the trace attribution like any other
 //     work) and caches the host-side artifacts: the distributed graph, the
-//     validated level indices, the band plan and its Lemma-1 replica labels.
-//     run_batch() then charges only inject + multisearch, with Algorithm 1's
-//     per-band steps 1-3a suppressed (charge_band_setup = false): the
-//     replicas are already resident.
+//     validated level indices, the band plan (its Lemma-1 replica labels
+//     verified), or the checked splittings with their largest pieces.
+//     run_batch() then charges only inject + multisearch through the
+//     engines' internal runs (detail::run_hierarchical,
+//     detail::run_partitioned), with Algorithm 1's per-band steps 1-3a left
+//     out — the replicas are already resident — and checks only that the
+//     engine is fresh and the batch fits.
 //
 //   * StreamScheduler<P> — slices a query stream into batches of at most
 //     mesh-capacity queries under a BatchPolicy (FIFO, or locality-reorder:
@@ -43,18 +46,23 @@
 //
 // Invalidation contract (DESIGN.md §5, decisions "Streaming batches" and
 // 16): the cache is valid as long as the graph, the mesh shape, and (for
-// Alg 1) the plan kind are unchanged — and, since PR 9, the engine TRACKS
-// that. Construction records the graph's generation stamp; every
-// run_batch/charge_setup first compares it against the live stamp and
-// throws a typed StaleEngineError (never a silently wrong answer) when a
-// structure's apply_updates has moved it. refresh(RefreshRequest) brings a
-// stale engine back: payload-only deltas re-distribute just the dirty
-// records and their band replicas (charged under the `rebuild` primitive,
-// proportional to the dirty copy count, fault-recoverable like any phase);
-// topological deltas or force_full re-run the full setup. After refresh the
-// warm engine is bit-identical to a cold engine built from the post-update
-// structure. Resizing the mesh still requires a new PreparedSearch. Query
-// contents never invalidate anything.
+// Alg 1) the plan kind are unchanged, and the engine tracks that. Each
+// generation it serves is checked once, when it is prepared — at
+// construction or at refresh — and never again per batch. So the engine
+// records two stamps of the graph: its generation, which apply_updates
+// moves, and its edit stamp, which every write session (edit()) and every
+// assignment over the graph moves, a builder's own writes included. Every
+// run_batch compares both against the live graph and throws a typed
+// StaleEngineError (never a silently wrong answer, never an unchecked
+// structure) when either has moved. refresh(RefreshRequest) re-checks the
+// structure and brings a stale engine back: payload-only deltas
+// re-distribute just the dirty records and their band replicas (charged
+// under the `rebuild` primitive, proportional to the dirty copy count,
+// fault-recoverable like any phase); topological deltas or force_full
+// re-run the full setup. After refresh the warm engine is bit-identical to
+// a cold engine built from the post-update structure. Resizing the mesh
+// still requires a new PreparedSearch. Query contents never invalidate
+// anything.
 #pragma once
 
 #include <algorithm>
@@ -352,18 +360,7 @@ class PreparedSearch {
         prog_(std::move(prog)),
         m_(&m),
         shape_(shape) {
-    // Front door: reject malformed input before charging the setup.
-    validate_graph(*g_, engine_kind_name(kind_));
-    validate_graph_fits(*g_, shape_, engine_kind_name(kind_));
-    plan_ = make_hierarchical_plan(dag, shape_, plan_kind_);
-    labels_ = band_labels(plan_, shape_);
-    // Only the log* plan satisfies the Theorem-2 resident-replica storage
-    // bound; the geometric plan stages its copies transiently (§5.9
-    // trade-off), so its labels legitimately exceed capacity.
-    if (plan_kind_ == PlanKind::kPaper)
-      verify_label_capacity(plan_, shape_, labels_);
-    prepared_generation_ = g_->generation();
-    setup_cost_ = charge_setup();
+    prepare(nullptr);
   }
 
   /// Warm Algorithm-2/3 engine. The splittings are copied (the engine's
@@ -381,17 +378,10 @@ class PreparedSearch {
     if (kind != EngineKind::kAlg2Alpha && kind != EngineKind::kAlg3AlphaBeta)
       invalid_input("partitioned PreparedSearch requires an Alg 2/3 kind",
                     "PreparedSearch");
-    // Front door: reject malformed input before charging the setup.
-    validate_graph(*g_, engine_kind_name(kind_));
-    validate_graph_fits(*g_, shape_, engine_kind_name(kind_));
-    validate_splitting_input(*g_, psi_a_, engine_kind_name(kind_));
-    validate_splitting_input(*g_, psi_b_, engine_kind_name(kind_));
-    prepared_generation_ = g_->generation();
-    setup_cost_ = charge_setup();
+    prepare(nullptr);
   }
 
   EngineKind kind() const { return kind_; }
-  mesh::MeshShape shape() const { return shape_; }
   /// Largest batch the initial configuration admits (one query/processor).
   std::size_t capacity() const { return shape_.size(); }
   /// The one-time setup charged at construction.
@@ -408,9 +398,13 @@ class PreparedSearch {
   /// refreshed) against, and the structure's live stamp.
   std::uint64_t prepared_generation() const { return prepared_generation_; }
   std::uint64_t structure_generation() const { return g_->generation(); }
-  /// True when the structure has been mutated since preparation — serving
-  /// would throw StaleEngineError; call refresh() first.
-  bool stale() const { return structure_generation() != prepared_generation_; }
+  /// True when the structure has been mutated since preparation (a new
+  /// generation, or any write session on its graph) — serving would throw
+  /// StaleEngineError; call refresh() first.
+  bool stale() const {
+    return g_->generation() != prepared_generation_ ||
+           g_->edit_stamp() != prepared_stamp_;
+  }
   /// Refreshes performed so far (incremental or full).
   std::size_t refreshes() const { return refreshes_; }
 
@@ -420,61 +414,32 @@ class PreparedSearch {
   /// Payload-only deltas (!delta.topology_changed, !force_full) refresh
   /// incrementally: the dirty records and every band replica holding a copy
   /// of them are re-distributed, charged under the `rebuild` primitive as
-  /// ceil(dirty copies / p) redistribution rounds. All cached state (plan,
-  /// labels, splittings) stays valid. The phase runs under the standard
+  /// ceil(dirty copies / p) redistribution rounds. The cached plan and
+  /// splittings stay as they were. The phase runs under the standard
   /// fault machinery as phase "rebuild" — failed attempts re-charge and
   /// back off, and an exhausted budget throws FaultExhaustedError leaving
   /// the engine still stale (the caller degrades and retries, or falls back
   /// to force_full).
   ///
-  /// Topological deltas (or force_full) re-run the full setup: Algorithm-1
-  /// engines recompute their band plan and replica labels from the DAG
-  /// (which the structure must have refreshed in place — HierarchicalDag is
-  /// assignable precisely so its address stays stable); partitioned engines
-  /// adopt the request's fresh splittings when provided, keeping their old
-  /// ones for payload-only-forced-full refreshes.
+  /// Topological deltas (or force_full) re-charge the full setup;
+  /// partitioned engines adopt the request's fresh splittings when
+  /// provided, keeping their old ones for payload-only-forced-full
+  /// refreshes.
   ///
-  /// Either way the engine adopts the structure's current generation and
+  /// Either way the new generation is checked first, by the same prepare
+  /// step as construction: Algorithm-1 engines rebuild their band plan and
+  /// replica labels from the DAG (which the structure must have refreshed
+  /// in place — HierarchicalDag is assignable precisely so its address
+  /// stays stable). A malformed graph or splitting, or a dirty id outside
+  /// the graph, throws InvalidInputError (a graph outgrowing the mesh,
+  /// CapacityError) before anything is charged, leaving the engine stale.
+  /// Then the engine adopts the structure's generation and edit stamp, and
   /// the run_batch gate reopens. Afterwards the engine is bit-identical to
   /// a cold engine built from the post-update structure (the contract the
   /// UpdateWarmColdOracle tests pin).
   RefreshReport refresh(const RefreshRequest& req) {
     TRACE_SPAN(m_->trace, "stream.refresh");
-    RefreshReport rep;
-    const double p = static_cast<double>(shape_.size());
-    if (!req.delta.topology_changed && !req.force_full) {
-      rep.incremental = true;
-      // The charge body is idempotent (a pure cost computation), so an int
-      // stands in as the checkpoint state for the retry machinery.
-      int state = 0;
-      rep.cost = detail::recovered_phase(*m_, p, "rebuild", state, [&] {
-        double messages = 0;
-        for (const Vid v : req.delta.dirty_vertices)
-          messages += static_cast<double>(replica_copies(g_->vert(v).level));
-        return m_->rebuild(p, std::max(1.0, std::ceil(messages / p)));
-      });
-    } else {
-      // Full re-setup. Re-validate at the front door: the mutated structure
-      // must still be a graph this engine kind can serve.
-      validate_graph(*g_, engine_kind_name(kind_));
-      validate_graph_fits(*g_, shape_, engine_kind_name(kind_));
-      if (dag_ != nullptr) {
-        plan_ = make_hierarchical_plan(*dag_, shape_, plan_kind_);
-        labels_ = band_labels(plan_, shape_);
-        if (plan_kind_ == PlanKind::kPaper)
-          verify_label_capacity(plan_, shape_, labels_);
-      } else {
-        if (req.has_splittings) {
-          psi_a_ = req.psi_a;
-          psi_b_ = req.psi_b;
-        }
-        validate_splitting_input(*g_, psi_a_, engine_kind_name(kind_));
-        validate_splitting_input(*g_, psi_b_, engine_kind_name(kind_));
-      }
-      setup_cost_ = charge_setup();
-      rep.cost = setup_cost_;
-    }
-    prepared_generation_ = g_->generation();
+    const RefreshReport rep = prepare(&req);
     ++refreshes_;
     return rep;
   }
@@ -536,7 +501,9 @@ class PreparedSearch {
 
   /// Run one batch on the warm engine: inject + multisearch, no setup.
   /// `batch.size()` must be at most capacity(). The queries are advanced in
-  /// place (outcome fields hold the answers afterwards).
+  /// place (outcome fields hold the answers afterwards). The structure was
+  /// checked when this generation was prepared, so a batch checks only
+  /// that the engine is fresh and the batch fits.
   BatchReport run_batch(std::vector<Query>& batch) {
     check_fresh("run_batch");
     BatchReport rep;
@@ -544,37 +511,96 @@ class PreparedSearch {
     if (batch.empty()) return rep;
     validate_batch_size(batch.size(), capacity(), engine_kind_name(kind_));
     rep.inject = inject_queries(batch.size(), *m_, shape_);
-    switch (kind_) {
-      case EngineKind::kAlg1Paper:
-      case EngineKind::kAlg1Geometric: {
-        const HierarchicalRunResult r =
-            hierarchical_multisearch(*dag_, prog_, batch, *m_, shape_,
-                                     plan_kind_, /*charge_band_setup=*/false);
-        rep.run = r.cost;
-        rep.visits = r.total_visits;
-        break;
-      }
-      case EngineKind::kAlg2Alpha:
-      case EngineKind::kAlg3AlphaBeta: {
-        const PartitionedRunResult r =
-            multisearch_partitioned(*g_, psi_a_, psi_b_, prog_, batch, *m_,
-                                    shape_);
-        rep.run = r.cost;
-        rep.visits = r.total_visits;
-        break;
-      }
+    if (dag_ != nullptr) {
+      const HierarchicalRunResult r = detail::run_hierarchical(
+          *dag_, plan_, prog_, batch, *m_, shape_, engine_kind_name(kind_),
+          /*charge_band_setup=*/false);
+      rep.run = r.cost;
+      rep.visits = r.total_visits;
+    } else {
+      const PartitionedRunResult r = detail::run_partitioned(
+          *g_, psi_a_, max_a_, psi_b_, max_b_, prog_, batch, *m_, shape_,
+          engine_kind_name(kind_));
+      rep.run = r.cost;
+      rep.visits = r.total_visits;
     }
     ++batches_served_;
     return rep;
   }
 
  private:
+  /// The one step every structure generation passes before it is served,
+  /// at construction (`req` null) and on both refresh paths. It checks the
+  /// graph and its fit (and an incremental refresh's dirty ids), then
+  /// rebuilds what the generation determines: the band plan, its replica
+  /// labels verified (Alg 1), or the checked splittings and their largest
+  /// pieces (Alg 2/3, adopting the fresh ones a full refresh brings). None
+  /// of that charges anything or keeps anything unless every check passes.
+  /// Then it charges the full setup — or, for an incremental refresh, the
+  /// rebuild of the dirty copies — and adopts the structure's generation
+  /// and edit stamp.
+  RefreshReport prepare(const RefreshRequest* req) {
+    const char* engine = engine_kind_name(kind_);
+    RefreshReport rep;
+    rep.incremental =
+        req != nullptr && !req->delta.topology_changed && !req->force_full;
+    if (rep.incremental)
+      for (const Vid v : req->delta.dirty_vertices)
+        if (v < 0 || static_cast<std::size_t>(v) >= g_->vertex_count())
+          invalid_input("dirty vertex " + std::to_string(v) +
+                            " outside the graph",
+                        engine);
+    validate_graph(*g_, engine);
+    validate_graph_fits(*g_, shape_, engine);
+    if (dag_ != nullptr) {
+      HierarchicalPlan plan = make_hierarchical_plan(*dag_, shape_, plan_kind_);
+      // Only the log* plan satisfies the Theorem-2 resident-replica storage
+      // bound; the geometric plan stages its copies transiently (§5.9
+      // trade-off), so its labels legitimately exceed capacity.
+      if (plan_kind_ == PlanKind::kPaper)
+        verify_label_capacity(plan, shape_, band_labels(plan, shape_));
+      plan_ = std::move(plan);
+    } else {
+      const bool fresh = !rep.incremental && req != nullptr &&
+                         req->has_splittings;
+      const Splitting& a = fresh ? req->psi_a : psi_a_;
+      const Splitting& b = fresh ? req->psi_b : psi_b_;
+      const std::size_t max_a = validate_splitting_input(*g_, a, engine);
+      max_b_ = validate_splitting_input(*g_, b, engine);
+      max_a_ = max_a;
+      if (fresh) {
+        psi_a_ = a;
+        psi_b_ = b;
+      }
+    }
+    const double p = static_cast<double>(shape_.size());
+    if (rep.incremental) {
+      // The charge body is idempotent (a pure cost computation), so an int
+      // stands in as the checkpoint state for the retry machinery.
+      int state = 0;
+      rep.cost = detail::recovered_phase(*m_, p, "rebuild", state, [&] {
+        double messages = 0;
+        for (const Vid v : req->delta.dirty_vertices)
+          messages += static_cast<double>(replica_copies(g_->vert(v).level));
+        return m_->rebuild(p, std::max(1.0, std::ceil(messages / p)));
+      });
+    } else {
+      setup_cost_ = charge_setup();
+      rep.cost = setup_cost_;
+    }
+    prepared_generation_ = g_->generation();
+    prepared_stamp_ = g_->edit_stamp();
+    return rep;
+  }
+
   /// The stale gate: a mutated structure must never be served silently.
   void check_fresh(const char* phase) const {
-    if (g_->generation() == prepared_generation_) return;
+    if (!stale()) return;
     ErrorContext ctx;
     ctx.engine = engine_kind_name(kind_);
     ctx.phase = phase;
+    if (g_->generation() == prepared_generation_)
+      ctx.site = "graph written outside apply_updates";
     throw StaleEngineError(dataset_, g_->generation(), prepared_generation_,
                            std::move(ctx));
   }
@@ -606,8 +632,8 @@ class PreparedSearch {
   const HierarchicalDag* dag_ = nullptr;  ///< Alg 1 only
   PlanKind plan_kind_ = PlanKind::kPaper;
   HierarchicalPlan plan_;                 ///< cached band plan (Alg 1)
-  std::vector<std::int32_t> labels_;      ///< cached replica labels (Alg 1)
   Splitting psi_a_, psi_b_;               ///< cached splittings (Alg 2/3)
+  std::size_t max_a_ = 0, max_b_ = 0;     ///< their largest pieces
   P prog_;
   const mesh::CostModel* m_;
   mesh::MeshShape shape_;
@@ -615,6 +641,7 @@ class PreparedSearch {
   std::size_t batches_served_ = 0;
   std::string dataset_ = "<unnamed>";
   std::uint64_t prepared_generation_ = 0;
+  std::uint64_t prepared_stamp_ = 0;  ///< g_->edit_stamp() when adopted
   std::size_t refreshes_ = 0;
 };
 

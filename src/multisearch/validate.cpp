@@ -46,8 +46,8 @@ void validate_graph(const DistributedGraph& g, const char* engine) {
   }
 }
 
-void validate_hierarchical_graph(const DistributedGraph& g,
-                                 std::int32_t level_work) {
+std::vector<std::size_t> validate_hierarchical_graph(const DistributedGraph& g,
+                                                     std::int32_t level_work) {
   constexpr const char* kSite = "hierarchical-dag";
   if (level_work < 1) invalid_input("level_work must be >= 1", kSite);
   if (g.vertex_count() == 0)
@@ -68,9 +68,15 @@ void validate_hierarchical_graph(const DistributedGraph& g,
                         " in hierarchical DAG",
                     kSite);
   // Level monotonicity: every edge goes one level down (same-level edges
-  // only in the generalized level_work > 1 model).
-  for (const auto& v : g.verts())
+  // only in the generalized level_work > 1 model). The adjacency is read
+  // before validate_graph has seen it, so bound it first.
+  for (const auto& v : g.verts()) {
     for (std::uint8_t d = 0; d < v.degree; ++d) {
+      if (d >= kMaxDegree || v.nbr[d] < 0 ||
+          static_cast<std::size_t>(v.nbr[d]) >= g.vertex_count())
+        invalid_input("vertex " + std::to_string(v.id) +
+                          " exceeds kMaxDegree or has a neighbour out of range",
+                      kSite);
       const std::int32_t nl = g.vert(v.nbr[d]).level;
       const bool ok = nl == v.level + 1 || (level_work > 1 && nl == v.level);
       if (!ok)
@@ -79,12 +85,15 @@ void validate_hierarchical_graph(const DistributedGraph& g,
                           " not between consecutive levels",
                       kSite);
     }
+  }
+  return level_size;
 }
 
-void validate_splitting_input(const DistributedGraph& g, const Splitting& s,
-                              const char* engine) {
+std::size_t validate_splitting_input(const DistributedGraph& g,
+                                     const Splitting& s, const char* engine) {
   if (s.piece.size() != g.vertex_count())
     invalid_input("splitting size != vertex count", engine);
+  std::vector<std::size_t> sizes(s.num_pieces(), 0);
   for (std::size_t v = 0; v < s.piece.size(); ++v) {
     if (s.piece[v] < 0)
       invalid_input("vertex " + std::to_string(v) +
@@ -94,7 +103,9 @@ void validate_splitting_input(const DistributedGraph& g, const Splitting& s,
       invalid_input("vertex " + std::to_string(v) +
                         " assigned an out-of-range piece",
                     engine);
+    ++sizes[static_cast<std::size_t>(s.piece[v])];
   }
+  return sizes.empty() ? 0 : *std::max_element(sizes.begin(), sizes.end());
 }
 
 void validate_graph_fits(const DistributedGraph& g, mesh::MeshShape shape,
@@ -125,18 +136,6 @@ void validate_stream_positions(std::size_t used, std::size_t adding,
                        " queries exceeds the 32-bit position space (" +
                        std::to_string(kMax) + ")",
                    site);
-}
-
-void validate_query_keys(const std::vector<Query>& queries, std::int64_t lo,
-                         std::int64_t hi, const char* engine) {
-  for (std::size_t i = 0; i < queries.size(); ++i)
-    for (const std::int64_t k : queries[i].key)
-      if (k < lo || k > hi)
-        invalid_input("query " + std::to_string(i) + " key " +
-                          std::to_string(k) + " outside [" +
-                          std::to_string(lo) + ", " + std::to_string(hi) +
-                          "]",
-                      engine);
 }
 
 void validate_points_in_bounds(const std::vector<geom::Point2>& pts,

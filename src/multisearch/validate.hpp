@@ -1,12 +1,14 @@
 // Hardened front door: input validation for every public entry point.
 //
 // Scattered input checks used to live inside the engines (MS_CHECK sites in
-// DistributedGraph::validate, validate_splitting, verify_label_capacity,
-// the HierarchicalDag constructor, the geometry builders) and tripped as
+// the graph and splitting checks, verify_label_capacity, the
+// HierarchicalDag constructor, the geometry builders) and tripped as
 // CheckFailedError from deep inside a phase. This header consolidates them
-// into named validators that every public entry point (PreparedSearch,
-// StreamScheduler::run, the four engine run functions, the geometry and
-// data-structure builders) calls FIRST, so malformed input surfaces as
+// into named validators that every public entry point (the four one-shot
+// engine run functions, the geometry and data-structure builders, and a
+// warm PreparedSearch once per structure generation — at construction and
+// at refresh; its run_batch checks only the batch size) calls FIRST, so
+// malformed input surfaces as
 //
 //   InvalidInputError — the input violates a structural precondition
 //                       (duplicate edges, non-monotone levels, degenerate
@@ -19,9 +21,10 @@
 // invariants — after the front door, a tripped check is a library bug.
 //
 // This header also hosts paranoid mode (MESHSEARCH_PARANOID env var): every
-// engine call shadow-runs the sequential oracle on a copy of its input and
-// audits the end-to-end outcome checksum, throwing IntegrityError on any
-// divergence — the runtime analogue of the determinism test suite.
+// engine run, warm batches included, shadow-runs the sequential oracle on a
+// copy of its input and audits the end-to-end outcome checksum, throwing
+// IntegrityError on any divergence — the runtime analogue of the
+// determinism test suite.
 #pragma once
 
 #include <cstdint>
@@ -57,17 +60,20 @@ void validate_graph(const DistributedGraph& g, const char* engine);
 
 /// Hierarchical-DAG shape: every vertex carries a level >= 0, levels are
 /// contiguous and non-empty, and every edge goes from L_i to L_{i+1}
-/// (same-level edges allowed only when level_work > 1). Degree bounds ride
-/// on validate_graph. Throws InvalidInputError.
-void validate_hierarchical_graph(const DistributedGraph& g,
-                                 std::int32_t level_work);
+/// (same-level edges allowed only when level_work > 1). Degrees and
+/// neighbours are bounded before they are followed; ids, self loops and
+/// duplicates are left to validate_graph. Throws InvalidInputError.
+/// Returns the vertex count of each level.
+std::vector<std::size_t> validate_hierarchical_graph(const DistributedGraph& g,
+                                                     std::int32_t level_work);
 
 /// Splitting shape: one piece id per vertex, all ids in range. Alpha/beta
 /// edge conditions stay in validate_alpha_splitting (they are structural
 /// theorems about the splitting, checked where it is built). Throws
-/// InvalidInputError.
-void validate_splitting_input(const DistributedGraph& g, const Splitting& s,
-                              const char* engine);
+/// InvalidInputError. Returns the largest piece's vertex count (Lemma 3's
+/// capacity floor), counted in the same pass.
+std::size_t validate_splitting_input(const DistributedGraph& g,
+                                     const Splitting& s, const char* engine);
 
 /// The mesh must hold the graph: vertex_count <= processors. Throws
 /// CapacityError.
@@ -86,12 +92,6 @@ void validate_batch_size(std::size_t batch_size, std::size_t capacity,
 /// uint32_t. Throws CapacityError past 2^32 - 1 positions.
 void validate_stream_positions(std::size_t used, std::size_t adding,
                                const char* site);
-
-/// Query keys must lie in [lo, hi] (used by builders whose key domain is
-/// bounded, e.g. geometry coordinates within kMaxCoord). Throws
-/// InvalidInputError naming the first offending query.
-void validate_query_keys(const std::vector<Query>& queries, std::int64_t lo,
-                         std::int64_t hi, const char* engine);
 
 // ---------------------------------------------------------------------------
 // Geometry input validation (via geometry/predicates.hpp)

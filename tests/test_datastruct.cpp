@@ -11,6 +11,7 @@
 #include "multisearch/partitioned.hpp"
 #include "multisearch/query.hpp"
 #include "multisearch/sequential.hpp"
+#include "multisearch/validate.hpp"
 
 namespace {
 
@@ -159,7 +160,7 @@ TEST(IntervalTree, StructureCounts) {
   // Every interval appears in exactly two chains.
   EXPECT_EQ(t.chain_node_count(), 200u);
   EXPECT_LE(t.graph().max_degree(), msearch::kMaxDegree);
-  t.graph().validate();
+  validate_graph(t.graph(), "test");
 }
 
 TEST(IntervalTree, StabbingSingleInterval) {
@@ -224,8 +225,8 @@ TEST(IntervalTree, StabbingViaAlgorithm3) {
   const mesh::CostModel m;
   const auto shape = t.graph().shape_for(qalg.size());
   const auto [s1, s2] = t.alpha_beta_splittings();
-  validate_splitting(t.graph(), s1);
-  validate_splitting(t.graph(), s2);
+  validate_splitting_input(t.graph(), s1, "splitting");
+  validate_splitting_input(t.graph(), s2, "splitting");
   const auto res = multisearch_alpha_beta(t.graph(), s1, s2,
                                           t.stabbing_program(), qalg, m, shape);
   EXPECT_EQ(diff_outcomes(outcomes(qseq), outcomes(qalg)), "");

@@ -112,7 +112,8 @@ TEST(Determinism, ConstrainedMultisearch) {
     m.trace = &rec;
     auto q = qs;
     const auto res = constrained_multisearch(
-        comb.graph, comb.splitting, ds::CombWalk{comb.root}, q, m, shape);
+        comb.graph, comb.splitting, max_piece_size(comb.splitting),
+        ds::CombWalk{comb.root}, q, m, shape);
     mesh::Cost cost = res.cost;
     return RunRecord{outcomes(q), cost, rec.counters()};
   });

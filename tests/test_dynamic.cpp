@@ -23,6 +23,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -37,6 +39,7 @@
 #include "multisearch/sequential.hpp"
 #include "multisearch/stream.hpp"
 #include "multisearch/update.hpp"
+#include "multisearch/validate.hpp"
 #include "service/engine.hpp"
 #include "service/scheduler.hpp"
 #include "service/tenant.hpp"
@@ -161,7 +164,7 @@ TEST(DynamicKaryTree, OutgrowingTheLeafLevelRebuildsInPlace) {
   EXPECT_TRUE(delta.topology_changed);
   EXPECT_EQ(delta.generation, 1u);
   EXPECT_EQ(tree.key_set().size(), 10u);
-  tree.graph().validate();
+  validate_graph(tree.graph(), "test");
 
   KaryTree fresh(tree.key_set(), 3, TreeMode::kDirected);
   auto qa = rank_queries(100, 120, 92);
@@ -232,7 +235,7 @@ TEST(DynamicIntervalTree, SlackAbsorbsInsertsAndDeletesPayloadOnly) {
   EXPECT_EQ(delta.generation, 1u);
   EXPECT_EQ(t.graph().vertex_count(), vertices);
   EXPECT_EQ(t.interval_count(), 25u);
-  t.graph().validate();
+  validate_graph(t.graph(), "test");
   expect_stab_matches_oracle(t, stab_queries(400, -50, 1100, 71));
 
   // Delete + re-insert with the same id in one batch is legal (the delete
@@ -250,7 +253,7 @@ TEST(DynamicIntervalTree, ChainOverflowFallsBackToFullRebuild) {
   EXPECT_TRUE(delta.topology_changed);
   EXPECT_EQ(delta.generation, 1u);
   EXPECT_EQ(t.interval_count(), 26u);
-  t.graph().validate();
+  validate_graph(t.graph(), "test");
   expect_stab_matches_oracle(t, stab_queries(400, -50, 1100, 73));
 }
 
@@ -318,7 +321,7 @@ TEST(DynamicKirkpatrick, PointInsertChangesTopologyAndStaysCorrect) {
   // topology change, the engines' full re-setup fallback.
   EXPECT_TRUE(delta.topology_changed);
   EXPECT_EQ(delta.generation, 1u);
-  kp.dag().validate();
+  validate_graph(kp.dag(), "test");
 
   util::Rng rng(23);
   auto qs = make_queries(200);
@@ -795,6 +798,182 @@ TEST(ServiceUpdates, FaultExhaustedRefreshDegradesAndStillApplies) {
   for (service::Ticket k = sub.first; k < sub.first + sub.count; ++k)
     got.push_back(t.result(k));
   EXPECT_EQ(diff_outcomes(outcomes(got), outcomes(expect)), "");
+}
+
+// ---------------------------------------------------------------------------
+// Caller-supplied dirty ids are checked: an id outside the graph is refused
+// with InvalidInputError before anything is charged, and the engine stays
+// stale — it is never read out of bounds.
+// ---------------------------------------------------------------------------
+
+TEST(UpdateDirtyIds, OutOfRangeIdRefusedBeforeAnyChargeAndEngineStaysStale) {
+  KaryTree tree(ds::iota_keys(200), 3, TreeMode::kDirected);
+  util::Rng dag_rng(5);
+  DistributedGraph g = ds::build_hierarchical_dag(300, 2.0, 2, dag_rng);
+  const HierarchicalDag dag(g, 2.0);
+  trace::TraceRecorder rec("counting");
+  mesh::CostModel m;
+  m.trace = &rec;
+  PreparedSearch alg2(EngineKind::kAlg2Alpha, tree.graph(),
+                      tree.alpha_splitting(), tree.alpha_splitting(),
+                      tree.rank_count(), m,
+                      tree.graph().shape_for(tree.graph().vertex_count()));
+  PreparedSearch alg1(dag, PlanKind::kGeometric, ds::HashWalk{0}, m,
+                      g.shape_for(g.vertex_count()));
+  RefreshRequest req2;
+  req2.delta = tree.apply_updates({ds::WeightedKey{500, 2}}, {});
+  RefreshRequest req1;
+  req1.delta.dirty_vertices = {3};
+  g.edit().vert(3).key[0] += 1;  // a payload write, out of band
+
+  const auto check = [&](auto& eng, const RefreshRequest& good, Vid n) {
+    for (const Vid bad : {n, n + 1000, Vid{-1},
+                          std::numeric_limits<Vid>::max(),
+                          std::numeric_limits<Vid>::min()}) {
+      RefreshRequest req = good;
+      req.delta.dirty_vertices.push_back(bad);
+      const double before = rec.total_steps();
+      EXPECT_THROW(eng.refresh(req), InvalidInputError) << bad;
+      EXPECT_EQ(rec.total_steps(), before) << bad;
+      EXPECT_TRUE(eng.stale());
+      EXPECT_EQ(eng.refreshes(), 0u);
+    }
+    EXPECT_TRUE(eng.refresh(good).incremental);
+    EXPECT_FALSE(eng.stale());
+  };
+  check(alg2, req2, static_cast<Vid>(tree.graph().vertex_count()));
+  check(alg1, req1, static_cast<Vid>(g.vertex_count()));
+
+  // The same through the service: an update function that names an id
+  // outside the graph surfaces as InvalidInputError from the pump.
+  auto engine = service::make_partitioned_engine(
+      EngineKind::kAlg2Alpha, tree.graph(), tree.alpha_splitting(),
+      tree.alpha_splitting(), tree.rank_count(), mesh::CostModel{},
+      tree.graph().shape_for(tree.graph().vertex_count()));
+  service::ServiceScheduler svc;
+  service::TenantSession& t = svc.add_tenant("acme", *engine, {});
+  t.submit_update([&tree] {
+    RefreshRequest req;
+    req.delta = tree.apply_updates({ds::WeightedKey{501, 2}}, {});
+    req.delta.dirty_vertices.push_back(
+        static_cast<Vid>(tree.graph().vertex_count()));
+    return req;
+  });
+  EXPECT_THROW(svc.run_until_idle(), InvalidInputError);
+  EXPECT_TRUE(engine->stale());
+}
+
+// ---------------------------------------------------------------------------
+// Out-of-band writes: every public write path on a prepared graph — a write
+// session's vert(), add_edge and add_undirected_edge, and assignment over
+// the graph — leaves the generation alone but stales the warm engine, so
+// the next batch throws StaleEngineError. A refresh re-checks what was
+// written: a well-formed write is served, a malformed one is refused with
+// InvalidInputError and the engine left stale.
+// ---------------------------------------------------------------------------
+
+using GraphWrite = std::function<void(DistributedGraph&)>;
+
+/// Well-formed writes on the directed k-ary tree over iota_keys(200), one
+/// per public write path. Leaves have no out-edges and are never left by a
+/// descent, so the new edges keep every answer; the weight write changes
+/// answers.
+std::vector<std::pair<std::string, GraphWrite>> well_formed_writes() {
+  const auto last = [](const DistributedGraph& g) {
+    return static_cast<Vid>(g.vertex_count() - 1);
+  };
+  return {
+      {"vert",
+       [=](DistributedGraph& g) { g.edit().vert(last(g)).key[5] += 4; }},
+      {"add_edge",
+       [=](DistributedGraph& g) { g.edit().add_edge(last(g), 0); }},
+      {"add_undirected_edge",
+       [=](DistributedGraph& g) {
+         g.edit().add_undirected_edge(last(g), last(g) - 1);
+       }},
+      // The same tree built apart: equal records, but not the graph the
+      // engine checked.
+      {"assignment",
+       [](DistributedGraph& g) {
+         g = KaryTree(ds::iota_keys(200), 3, TreeMode::kDirected).graph();
+       }},
+  };
+}
+
+/// A malformed write: a self loop at the root.
+void write_self_loop(DistributedGraph& g) { g.edit().vert(0).nbr[0] = 0; }
+
+TEST(DynamicOutOfBand, EveryWritePathStalesAStreamEngine) {
+  const KaryTree tree(ds::iota_keys(200), 3, TreeMode::kDirected);
+  const mesh::CostModel m;
+  for (const auto& [path, write] : well_formed_writes()) {
+    SCOPED_TRACE(path);
+    DistributedGraph g = tree.graph();
+    PreparedSearch eng(EngineKind::kAlg2Alpha, g, tree.alpha_splitting(),
+                       tree.alpha_splitting(), tree.rank_count(), m,
+                       g.shape_for(g.vertex_count()));
+    StreamScheduler sched(eng, BatchPolicy{});
+    auto stream = rank_queries(3 * eng.capacity() / 2, 220, 61);
+    sched.run(stream);
+
+    write(g);
+    EXPECT_EQ(g.generation(), 0u);
+    EXPECT_TRUE(eng.stale());
+    stream = rank_queries(3 * eng.capacity() / 2, 220, 62);
+    EXPECT_THROW(sched.run(stream), StaleEngineError);
+
+    RefreshRequest full;
+    full.force_full = true;
+    eng.refresh(full);
+    EXPECT_FALSE(eng.stale());
+    auto expect = stream;
+    sequential_multisearch(g, tree.rank_count(), expect);
+    sched.run(stream);
+    EXPECT_EQ(diff_outcomes(outcomes(stream), outcomes(expect)), "");
+
+    write_self_loop(g);
+    EXPECT_THROW(sched.run(stream), StaleEngineError);
+    RefreshRequest incremental;
+    EXPECT_THROW(eng.refresh(full), InvalidInputError);
+    EXPECT_THROW(eng.refresh(incremental), InvalidInputError);
+    EXPECT_TRUE(eng.stale());
+    EXPECT_EQ(eng.refreshes(), 1u);
+  }
+}
+
+TEST(DynamicOutOfBand, EveryWritePathStalesAServiceTenant) {
+  const KaryTree tree(ds::iota_keys(200), 3, TreeMode::kDirected);
+  for (const auto& [path, write] : well_formed_writes()) {
+    SCOPED_TRACE(path);
+    DistributedGraph g = tree.graph();
+    const auto shape = g.shape_for(g.vertex_count());
+    auto engine = service::make_partitioned_engine(
+        EngineKind::kAlg2Alpha, g, tree.alpha_splitting(),
+        tree.alpha_splitting(), tree.rank_count(), mesh::CostModel{}, shape);
+    service::ServiceScheduler svc;
+    service::TenantQuota quota;
+    quota.max_outstanding = 4 * shape.size();
+    service::TenantSession& t = svc.add_tenant("acme", *engine, quota);
+    t.submit(rank_queries(shape.size() / 2, 220, 71));
+    svc.run_until_idle();
+    EXPECT_EQ(t.report().completed, shape.size() / 2);
+
+    write(g);
+    EXPECT_EQ(g.generation(), 0u);
+    EXPECT_TRUE(engine->stale());
+    t.submit(rank_queries(shape.size() / 2, 220, 72));
+    EXPECT_THROW(svc.run_until_idle(), StaleEngineError);
+
+    RefreshRequest full;
+    full.force_full = true;
+    engine->refresh(full);
+    EXPECT_FALSE(engine->stale());
+    write_self_loop(g);
+    EXPECT_TRUE(engine->stale());
+    EXPECT_THROW(engine->refresh(full), InvalidInputError);
+    EXPECT_THROW(engine->refresh(RefreshRequest{}), InvalidInputError);
+    EXPECT_TRUE(engine->stale());
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "geometry/kirkpatrick.hpp"
 #include "multisearch/query.hpp"
 #include "multisearch/sequential.hpp"
+#include "multisearch/validate.hpp"
 
 namespace {
 
@@ -36,7 +37,7 @@ TEST_P(KirkpatrickTest, LocatesRandomProbes) {
   util::Rng rng(100 + GetParam());
   const auto pts = dedup_points(random_points_in_disk(GetParam(), 2000, rng));
   Kirkpatrick kp(pts, 2048);
-  kp.dag().validate();
+  msearch::validate_graph(kp.dag(), "test");
   EXPECT_GE(kp.hierarchy_levels(), 2u);
   const auto prog = kp.locate_program();
   auto qs = make_queries(300);
@@ -125,7 +126,7 @@ TEST_P(DKPolyTest, ExtremeMatchesBruteForce) {
   util::Rng rng(200 + GetParam());
   const auto poly = random_convex_polygon(GetParam(), 500000, rng);
   DKPolygon dk(poly);
-  dk.extreme_dag().dag.validate();
+  msearch::validate_graph(dk.extreme_dag().dag, "test");
   auto qs = make_queries(200);
   for (auto& q : qs) {
     do {
@@ -283,7 +284,7 @@ TEST_P(DK3Test, TangentPlaneValuesMatchBruteForce) {
   util::Rng rng(300 + GetParam());
   const auto pts = random_points_on_sphere(GetParam(), 100000, rng);
   DKHierarchy3 dk(pts, rng);
-  dk.extreme_dag().dag.validate();
+  msearch::validate_graph(dk.extreme_dag().dag, "test");
   auto qs = make_queries(150);
   for (auto& q : qs) {
     do {

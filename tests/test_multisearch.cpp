@@ -15,6 +15,7 @@
 #include "multisearch/sequential.hpp"
 #include "multisearch/setup.hpp"
 #include "multisearch/synchronous.hpp"
+#include "multisearch/validate.hpp"
 
 namespace {
 
@@ -29,21 +30,21 @@ using ds::TreeMode;
 
 TEST(Graph, BuildAndValidate) {
   DistributedGraph g(4);
-  g.add_edge(0, 1);
-  g.add_undirected_edge(1, 2);
+  g.edit().add_edge(0, 1);
+  g.edit().add_undirected_edge(1, 2);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_FALSE(g.has_edge(1, 0));
   EXPECT_TRUE(g.has_edge(1, 2));
   EXPECT_TRUE(g.has_edge(2, 1));
   EXPECT_EQ(g.size(), 4u + 3u);
   EXPECT_EQ(g.max_degree(), 1u);  // 0->1, 1->2, 2->1: one out-edge each
-  g.validate();
+  validate_graph(g, "test");
 }
 
 TEST(Graph, RejectsSelfLoopAndRange) {
   DistributedGraph g(2);
-  EXPECT_THROW(g.add_edge(0, 0), std::logic_error);
-  EXPECT_THROW(g.add_edge(0, 5), std::logic_error);
+  EXPECT_THROW(g.edit().add_edge(0, 0), std::logic_error);
+  EXPECT_THROW(g.edit().add_edge(0, 5), std::logic_error);
 }
 
 TEST(Graph, ShapeForCoversVerticesAndQueries) {
@@ -77,8 +78,8 @@ TEST(Splitting, KaryAlphaSplittingIsValid) {
 TEST(Splitting, KaryAlphaBetaBordersFarApart) {
   KaryTree tree(ds::iota_keys(512), 2, TreeMode::kUndirected);
   const auto [s1, s2] = tree.alpha_beta_splittings();
-  validate_splitting(tree.graph(), s1);
-  validate_splitting(tree.graph(), s2);
+  validate_splitting_input(tree.graph(), s1, "splitting");
+  validate_splitting_input(tree.graph(), s2, "splitting");
   const auto dist = border_distance(tree.graph(), s1, s2, 64);
   EXPECT_GE(dist, 1u);  // Theta(h/6) for the Figure-3 construction
 }
@@ -193,8 +194,9 @@ TEST(Constrained, AdvancesWithinPieceOnly) {
   const mesh::CostModel m;
   const auto shape = comb.graph.shape_for(qs.size());
   auto before = qs;
-  const auto st = constrained_multisearch(comb.graph, comb.splitting, prog, qs,
-                                          m, shape);
+  const auto st =
+      constrained_multisearch(comb.graph, comb.splitting,
+                              max_piece_size(comb.splitting), prog, qs, m, shape);
   // All queries sit in the spine (head) piece; their next hop crosses into a
   // tooth, so nobody may advance.
   EXPECT_EQ(st.advanced, 0u);
@@ -203,8 +205,9 @@ TEST(Constrained, AdvancesWithinPieceOnly) {
   // Now take one global step into the teeth and run constrained again: every
   // query advances up to log2(n) steps, all inside its tooth.
   global_multistep(comb.graph, prog, qs);
-  const auto st2 = constrained_multisearch(comb.graph, comb.splitting, prog,
-                                           qs, m, shape);
+  const auto st2 =
+      constrained_multisearch(comb.graph, comb.splitting,
+                              max_piece_size(comb.splitting), prog, qs, m, shape);
   const auto max_rounds = static_cast<std::size_t>(
       std::floor(std::log2(static_cast<double>(shape.size()))));
   EXPECT_GT(st2.advanced, 0u);
@@ -229,7 +232,8 @@ TEST(Constrained, StepBudgetIsLog2N) {
   const mesh::CostModel m;
   const auto shape = comb.graph.shape_for(qs.size());
   const auto st =
-      constrained_multisearch(comb.graph, comb.splitting, prog, qs, m, shape);
+      constrained_multisearch(comb.graph, comb.splitting,
+                              max_piece_size(comb.splitting), prog, qs, m, shape);
   const auto budget = static_cast<std::int32_t>(
       std::floor(std::log2(static_cast<double>(shape.size()))));
   EXPECT_LE(qs[0].steps - steps_before, budget);
@@ -243,8 +247,9 @@ TEST(Constrained, EmptyMarkSetExitsEarly) {
   for (auto& q : qs) q.done = true;
   const mesh::CostModel m;
   const auto shape = comb.graph.shape_for(qs.size());
-  const auto st = constrained_multisearch(comb.graph, comb.splitting,
-                                          ds::CombWalk{comb.root}, qs, m, shape);
+  const auto st = constrained_multisearch(
+      comb.graph, comb.splitting, max_piece_size(comb.splitting),
+      ds::CombWalk{comb.root}, qs, m, shape);
   EXPECT_EQ(st.marked, 0u);
   EXPECT_EQ(st.copies, 0u);
   // Exit after steps 1-3 only.
@@ -271,7 +276,8 @@ TEST(Constrained, CopiesMatchGammaFormula) {
   const mesh::CostModel m;
   const auto shape = comb.graph.shape_for(qs.size());
   auto psi = comb.splitting;
-  const auto st = constrained_multisearch(comb.graph, psi, prog, qs, m, shape);
+  const auto st = constrained_multisearch(comb.graph, psi, max_piece_size(psi),
+                                          prog, qs, m, shape);
   const std::size_t cap = std::max<std::size_t>(
       static_cast<std::size_t>(std::ceil(
           std::pow(static_cast<double>(shape.size()), psi.delta))),
@@ -476,10 +482,10 @@ TEST(Hierarchical, DagValidation) {
 
 TEST(Hierarchical, RejectsSkipLevelEdges) {
   DistributedGraph g(3);
-  g.vert(0).level = 0;
-  g.vert(1).level = 1;
-  g.vert(2).level = 2;
-  g.add_edge(0, 2);  // skips level 1
+  g.edit().vert(0).level = 0;
+  g.edit().vert(1).level = 1;
+  g.edit().vert(2).level = 2;
+  g.edit().add_edge(0, 2);  // skips level 1
   EXPECT_THROW(HierarchicalDag(g, 2.0), std::logic_error);
 }
 
@@ -589,8 +595,8 @@ TEST(Setup, DistributeInitialIsConstantOps) {
 TEST(Setup, LevelPeelRejectsStalledGraphs) {
   // A 2-cycle cannot be peeled.
   DistributedGraph g(2);
-  g.add_edge(0, 1);
-  g.add_edge(1, 0);
+  g.edit().add_edge(0, 1);
+  g.edit().add_edge(1, 0);
   const mesh::CostModel m;
   EXPECT_THROW(compute_level_indices(g, m, g.shape_for(2)), std::logic_error);
 }

@@ -303,15 +303,15 @@ TEST(StreamWarm, Alg1RunWithoutBandSetupIsCheaperByExactlyThatSetup) {
   const mesh::CostModel m;
   auto qs_full = fx.stream(fx.g.vertex_count());
   auto qs_warm = qs_full;
-  const auto full = hierarchical_multisearch(fx.dag, ds::HashWalk{0}, qs_full,
-                                             m, fx.shape, PlanKind::kGeometric,
-                                             /*charge_band_setup=*/true);
-  const auto warm = hierarchical_multisearch(fx.dag, ds::HashWalk{0}, qs_warm,
-                                             m, fx.shape, PlanKind::kGeometric,
-                                             /*charge_band_setup=*/false);
-  EXPECT_EQ(diff_outcomes(outcomes(qs_full), outcomes(qs_warm)), "");
   const auto plan =
       make_hierarchical_plan(fx.dag, fx.shape, PlanKind::kGeometric);
+  const auto full = msearch::detail::run_hierarchical(
+      fx.dag, plan, ds::HashWalk{0}, qs_full, m, fx.shape, "alg1-geometric",
+      /*charge_band_setup=*/true);
+  const auto warm = msearch::detail::run_hierarchical(
+      fx.dag, plan, ds::HashWalk{0}, qs_warm, m, fx.shape, "alg1-geometric",
+      /*charge_band_setup=*/false);
+  EXPECT_EQ(diff_outcomes(outcomes(qs_full), outcomes(qs_warm)), "");
   const mesh::Cost bands = band_setup_cost(plan, fx.shape, m);
   EXPECT_GT(bands.steps, 0.0);
   // Same terms, different accumulation order -> compare to relative eps.

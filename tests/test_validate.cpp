@@ -6,6 +6,7 @@
 // endpoints) is handled, not rejected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <vector>
@@ -18,9 +19,13 @@
 #include "geometry/hull3d.hpp"
 #include "geometry/kirkpatrick.hpp"
 #include "multisearch/hierarchical.hpp"
+#include "multisearch/partitioned.hpp"
+#include "multisearch/query.hpp"
+#include "multisearch/sequential.hpp"
 #include "multisearch/stream.hpp"
 #include "multisearch/synchronous.hpp"
 #include "multisearch/validate.hpp"
+#include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -69,16 +74,16 @@ TEST(ErrorTaxonomy, SubclassesAreCatchableAsErrorAndLogicError) {
 
 TEST(Validate, DuplicateEdgeRejected) {
   DistributedGraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 1);  // parallel edge: legal to build, invalid to run
-  g.add_edge(1, 2);
+  g.edit().add_edge(0, 1);
+  g.edit().add_edge(0, 1);  // parallel edge: legal to build, invalid to run
+  g.edit().add_edge(1, 2);
   EXPECT_THROW(validate_graph(g, "test"), InvalidInputError);
 }
 
 TEST(Validate, CleanGraphPasses) {
   DistributedGraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
+  g.edit().add_edge(0, 1);
+  g.edit().add_edge(1, 2);
   EXPECT_NO_THROW(validate_graph(g, "test"));
 }
 
@@ -123,18 +128,18 @@ TEST(Validate, StreamPositionsFitInUint32) {
 TEST(Validate, HierarchicalLevelGapRejected) {
   // 0 -> 2 skips a level; also leaves level 1 empty.
   DistributedGraph g(3);
-  g.vert(0).level = 0;
-  g.vert(1).level = 0;
-  g.vert(2).level = 2;
-  g.add_edge(0, 2);
+  g.edit().vert(0).level = 0;
+  g.edit().vert(1).level = 0;
+  g.edit().vert(2).level = 2;
+  g.edit().add_edge(0, 2);
   EXPECT_THROW(HierarchicalDag(g, 2.0), InvalidInputError);
 }
 
 TEST(Validate, HierarchicalMuAtMostOneRejected) {
   DistributedGraph g(2);
-  g.vert(0).level = 0;
-  g.vert(1).level = 1;
-  g.add_edge(0, 1);
+  g.edit().vert(0).level = 0;
+  g.edit().vert(1).level = 1;
+  g.edit().add_edge(0, 1);
   EXPECT_THROW(HierarchicalDag(g, 1.0), InvalidInputError);
   EXPECT_NO_THROW(HierarchicalDag(g, 2.0));
 }
@@ -238,9 +243,9 @@ struct TinyDag {
   DistributedGraph g;
   explicit TinyDag(std::size_t verts = 1) : g(verts) {
     for (std::size_t i = 0; i < verts; ++i)
-      g.vert(static_cast<Vid>(i)).level = static_cast<std::int32_t>(i);
+      g.edit().vert(static_cast<Vid>(i)).level = static_cast<std::int32_t>(i);
     for (std::size_t i = 0; i + 1 < verts; ++i)
-      g.add_edge(static_cast<Vid>(i), static_cast<Vid>(i + 1));
+      g.edit().add_edge(static_cast<Vid>(i), static_cast<Vid>(i + 1));
   }
 };
 
@@ -303,6 +308,292 @@ TEST(Validate, PreparedSearchRejectsWrongKind) {
                               tree.alpha_splitting(), tree.alpha_splitting(),
                               tree.rank_count(), m, shape),
                InvalidInputError);
+}
+
+// ---------------------------------------------------------------------------
+// Malformed structures at every front door: a seeded generator. Each case
+// breaks one thing — a neighbour out of range, a self loop, a duplicate
+// edge, a degree above kMaxDegree, an id that is not its address, a graph
+// larger than the mesh, or a splitting of the wrong size, with an uncovered
+// vertex or with an out-of-range piece — and hands it to every door that
+// takes it: the one-shot engines, both PreparedSearch constructors, and a
+// full and an incremental refresh of engines prepared on the intact
+// structure. Each door throws the typed error before it charges anything;
+// a refused refresh leaves its engine stale, with its prepared generation
+// and setup cost as they were. Splittings reach a warm engine only through
+// a full refresh (the incremental path keeps the ones it checked).
+// ---------------------------------------------------------------------------
+
+enum class Breakage {
+  kNbrRange, kSelfLoop, kDupEdge, kDegree, kIdAddress, kTooLarge,
+  kSplitSize, kSplitUncovered, kSplitPiece,
+};
+constexpr int kBreakages = 9;
+
+const char* breakage_name(Breakage b) {
+  static const char* const names[kBreakages] = {
+      "neighbour out of range", "self loop", "duplicate edge",
+      "degree above kMaxDegree", "id != address", "graph larger than mesh",
+      "splitting size", "uncovered vertex", "out-of-range piece"};
+  return names[static_cast<int>(b)];
+}
+
+/// A vertex of `g` with at least one out-edge.
+Vid vertex_with_edges(const DistributedGraph& g, util::Rng& rng) {
+  while (true) {
+    const auto v = static_cast<Vid>(rng.uniform(g.vertex_count()));
+    if (g.vert(v).degree > 0) return v;
+  }
+}
+
+/// Apply a graph breakage to `g` (kTooLarge assigns `larger` over it).
+void break_graph(DistributedGraph& g, Breakage b,
+                 const DistributedGraph& larger, util::Rng& rng) {
+  if (b == Breakage::kTooLarge) {
+    g = larger;
+    return;
+  }
+  const Vid v = vertex_with_edges(g, rng);
+  const auto edit = g.edit();
+  VertexRecord& rec = edit.vert(v);
+  const std::size_t d = rng.uniform(rec.degree);
+  const auto n = static_cast<Vid>(g.vertex_count());
+  switch (b) {
+    case Breakage::kNbrRange:
+      rec.nbr[d] = rng.uniform(2) == 0
+                       ? n + static_cast<Vid>(rng.uniform(1000))
+                       : -2 - static_cast<Vid>(rng.uniform(1000));
+      break;
+    case Breakage::kSelfLoop: rec.nbr[d] = v; break;
+    case Breakage::kDupEdge: edit.add_edge(v, rec.nbr[d]); break;
+    case Breakage::kDegree:
+      rec.degree = static_cast<std::uint8_t>(kMaxDegree + 1 + rng.uniform(64));
+      break;
+    case Breakage::kIdAddress:
+      rec.id = (v + 1 + static_cast<Vid>(rng.uniform(
+                            static_cast<std::uint64_t>(n - 1)))) % n;
+      break;
+    default: FAIL() << "not a graph breakage";
+  }
+}
+
+/// A copy of `s` with one splitting breakage applied.
+Splitting break_splitting(Splitting s, Breakage b, util::Rng& rng) {
+  const std::size_t v = rng.uniform(s.piece.size());
+  switch (b) {
+    case Breakage::kSplitSize:
+      s.piece.resize(rng.uniform(2) == 0 ? v : s.piece.size() + 1 + v);
+      break;
+    case Breakage::kSplitUncovered: s.piece[v] = -1; break;
+    case Breakage::kSplitPiece:
+      s.piece[v] = static_cast<std::int32_t>(s.num_pieces() + rng.uniform(50));
+      break;
+    default: ADD_FAILURE() << "not a splitting breakage";
+  }
+  return s;
+}
+
+/// `f` throws E and charges nothing into `rec`.
+template <class E, class F>
+void expect_rejected_uncharged(const trace::TraceRecorder& rec, F&& f,
+                               const char* door) {
+  const double before = rec.total_steps();
+  EXPECT_THROW(f(), E) << door;
+  EXPECT_EQ(rec.total_steps(), before) << door << " charged a rejected input";
+}
+
+template <class E>
+void check_graph_doors(Breakage b, const DistributedGraph& intact_dag,
+                       const ds::KaryTree& tree, util::Rng& rng) {
+  util::Rng big_rng(3);
+  const DistributedGraph larger_dag =
+      ds::build_hierarchical_dag(4 * intact_dag.vertex_count(), 2.0, 2,
+                                 big_rng);
+  const ds::KaryTree larger_tree(ds::iota_keys(300), 3,
+                                 ds::TreeMode::kDirected);
+  trace::TraceRecorder rec("counting");
+  mesh::CostModel m;
+  m.trace = &rec;
+
+  DistributedGraph g1 = intact_dag;
+  const HierarchicalDag dag(g1, 2.0);
+  const auto shape1 = g1.shape_for(g1.vertex_count());
+  DistributedGraph g2 = tree.graph();
+  const Splitting psi = tree.alpha_splitting();
+  const auto shape2 = g2.shape_for(g2.vertex_count());
+  PreparedSearch warm1(dag, PlanKind::kPaper, ds::HashWalk{0}, m, shape1);
+  PreparedSearch warm2(EngineKind::kAlg2Alpha, g2, psi, psi,
+                       tree.rank_count(), m, shape2);
+  const Vid dirty1 = vertex_with_edges(g1, rng);
+  const Vid dirty2 = vertex_with_edges(g2, rng);
+
+  break_graph(g1, b, larger_dag, rng);
+  break_graph(g2, b, larger_tree.graph(), rng);
+  ASSERT_TRUE(warm1.stale());
+  ASSERT_TRUE(warm2.stale());
+  // A larger graph comes with its own splitting, so that only its size is
+  // wrong.
+  const Splitting psi2 =
+      b == Breakage::kTooLarge ? larger_tree.alpha_splitting() : psi;
+
+  auto qs1 = make_queries(16);
+  auto qs2 = make_queries(16);
+  expect_rejected_uncharged<E>(rec, [&] {
+    hierarchical_multisearch(dag, ds::HashWalk{0}, qs1, m, shape1);
+  }, "alg1-paper one-shot");
+  expect_rejected_uncharged<E>(rec, [&] {
+    hierarchical_multisearch(dag, ds::HashWalk{0}, qs1, m, shape1,
+                             PlanKind::kGeometric);
+  }, "alg1-geometric one-shot");
+  expect_rejected_uncharged<E>(rec, [&] {
+    multisearch_alpha(g2, psi2, tree.rank_count(), qs2, m, shape2);
+  }, "alg2 one-shot");
+  expect_rejected_uncharged<E>(rec, [&] {
+    multisearch_alpha_beta(g2, psi2, psi2, tree.rank_count(), qs2, m, shape2);
+  }, "alg3 one-shot");
+  expect_rejected_uncharged<E>(rec, [&] {
+    PreparedSearch(dag, PlanKind::kGeometric, ds::HashWalk{0}, m, shape1);
+  }, "alg1 PreparedSearch");
+  expect_rejected_uncharged<E>(rec, [&] {
+    PreparedSearch(EngineKind::kAlg3AlphaBeta, g2, psi2, psi2,
+                   tree.rank_count(), m, shape2);
+  }, "alg2/3 PreparedSearch");
+
+  RefreshRequest full;
+  full.force_full = true;
+  RefreshRequest inc1, inc2;
+  inc1.delta.dirty_vertices = {dirty1};
+  inc2.delta.dirty_vertices = {dirty2};
+  const mesh::Cost setup1 = warm1.setup_cost(), setup2 = warm2.setup_cost();
+  expect_rejected_uncharged<E>(rec, [&] { warm1.refresh(full); },
+                               "alg1 full refresh");
+  expect_rejected_uncharged<E>(rec, [&] { warm1.refresh(inc1); },
+                               "alg1 incremental refresh");
+  expect_rejected_uncharged<E>(rec, [&] { warm2.refresh(full); },
+                               "alg2 full refresh");
+  expect_rejected_uncharged<E>(rec, [&] { warm2.refresh(inc2); },
+                               "alg2 incremental refresh");
+  EXPECT_TRUE(warm1.stale());
+  EXPECT_EQ(warm1.prepared_generation(), 0u);
+  EXPECT_EQ(warm1.setup_cost(), setup1);
+  EXPECT_TRUE(warm2.stale());
+  EXPECT_EQ(warm2.prepared_generation(), 0u);
+  EXPECT_EQ(warm2.setup_cost(), setup2);
+  EXPECT_EQ(warm1.refreshes() + warm2.refreshes(), 0u);
+  EXPECT_THROW(warm1.run_batch(qs1), StaleEngineError);
+  EXPECT_THROW(warm2.run_batch(qs2), StaleEngineError);
+}
+
+void check_splitting_doors(Breakage b, const ds::KaryTree& tree,
+                           util::Rng& rng) {
+  trace::TraceRecorder rec("counting");
+  mesh::CostModel m;
+  m.trace = &rec;
+  const DistributedGraph& g = tree.graph();
+  const auto shape = g.shape_for(g.vertex_count());
+  const Splitting psi = tree.alpha_splitting();
+  const Splitting bad = break_splitting(psi, b, rng);
+  PreparedSearch warm(EngineKind::kAlg3AlphaBeta, g, psi, psi,
+                      tree.rank_count(), m, shape);
+  auto qs = ds::uniform_key_queries(32, 200, rng);
+
+  expect_rejected_uncharged<InvalidInputError>(rec, [&] {
+    multisearch_partitioned(g, bad, psi, tree.rank_count(), qs, m, shape);
+  }, "one-shot, bad Psi_A");
+  expect_rejected_uncharged<InvalidInputError>(rec, [&] {
+    multisearch_partitioned(g, psi, bad, tree.rank_count(), qs, m, shape);
+  }, "one-shot, bad Psi_B");
+  expect_rejected_uncharged<InvalidInputError>(rec, [&] {
+    PreparedSearch(EngineKind::kAlg2Alpha, g, bad, bad, tree.rank_count(), m,
+                   shape);
+  }, "alg2 PreparedSearch");
+  expect_rejected_uncharged<InvalidInputError>(rec, [&] {
+    PreparedSearch(EngineKind::kAlg3AlphaBeta, g, psi, bad, tree.rank_count(),
+                   m, shape);
+  }, "alg3 PreparedSearch");
+  RefreshRequest req;
+  req.force_full = true;
+  req.has_splittings = true;
+  req.psi_a = psi;
+  req.psi_b = bad;
+  const mesh::Cost setup = warm.setup_cost();
+  expect_rejected_uncharged<InvalidInputError>(
+      rec, [&] { warm.refresh(req); }, "full refresh with a bad splitting");
+  EXPECT_EQ(warm.setup_cost(), setup);
+  EXPECT_EQ(warm.prepared_generation(), 0u);
+  EXPECT_EQ(warm.refreshes(), 0u);
+  // The refused splitting was not adopted: the engine still serves the
+  // checked ones, matching the oracle.
+  auto expect = qs;
+  sequential_multisearch(g, tree.rank_count(), expect);
+  warm.run_batch(qs);
+  EXPECT_EQ(diff_outcomes(outcomes(qs), outcomes(expect)), "");
+}
+
+TEST(ValidateMalformed, EveryFrontDoorRejectsUnchargedAndLeavesEnginesAsTheyWere) {
+  constexpr int kCases = 6 * kBreakages;  // fixed budget: six of each
+  util::Rng rng(2026);
+  util::Rng dag_rng(17);
+  const DistributedGraph dag = ds::build_hierarchical_dag(200, 2.0, 2, dag_rng);
+  const ds::KaryTree tree(ds::iota_keys(60), 3, ds::TreeMode::kDirected);
+  for (int c = 0; c < kCases; ++c) {
+    const auto b = static_cast<Breakage>(c % kBreakages);
+    SCOPED_TRACE(std::string("case ") + std::to_string(c) + ": " +
+                 breakage_name(b));
+    if (b == Breakage::kTooLarge)
+      check_graph_doors<CapacityError>(b, dag, tree, rng);
+    else if (b < Breakage::kTooLarge)
+      check_graph_doors<InvalidInputError>(b, dag, tree, rng);
+    else
+      check_splitting_doors(b, tree, rng);
+  }
+}
+
+TEST(ValidateMalformed, HierarchicalDagBuilderRejectsBrokenGraphs) {
+  // The DAG builder reads neighbour levels, so a broken adjacency must be
+  // refused there too — typed, never an out-of-range read.
+  util::Rng rng(7);
+  for (const auto b : {Breakage::kNbrRange, Breakage::kSelfLoop,
+                       Breakage::kDegree}) {
+    util::Rng dag_rng(17);
+    DistributedGraph g = ds::build_hierarchical_dag(200, 2.0, 2, dag_rng);
+    break_graph(g, b, g, rng);
+    EXPECT_THROW(HierarchicalDag(g, 2.0), InvalidInputError)
+        << breakage_name(b);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Far query points: the 2-D predicates widen before they subtract, so a
+// probe anywhere in int64 is located exactly — nothing clips query keys.
+// ---------------------------------------------------------------------------
+
+TEST(Validate, KirkpatrickFarProbesAnswerOutsideColdAndWarm) {
+  std::vector<geom::Point2> pts;
+  util::Rng rng(23);
+  for (int i = 0; i < 30; ++i)
+    pts.push_back({rng.uniform_range(-900, 900), rng.uniform_range(-900, 900)});
+  std::sort(pts.begin(), pts.end(), [](const auto& a, const auto& b) {
+    return a.x != b.x ? a.x < b.x : a.y < b.y;
+  });
+  pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
+  const geom::Kirkpatrick kp(pts, 2048);
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  auto qs = make_queries(2);
+  qs[0].key = {kMax, 0, 0};
+  qs[1].key = {kMin, kMax, 0};
+
+  auto cold = qs;
+  sequential_multisearch(kp.dag(), kp.locate_program(), cold);
+  const HierarchicalDag dag = kp.hierarchical_dag();
+  const mesh::CostModel m;
+  PreparedSearch warm(dag, PlanKind::kGeometric, kp.locate_program(), m,
+                      kp.dag().shape_for(kp.dag().vertex_count()));
+  warm.run_batch(qs);
+  for (const auto* batch : {&cold, &qs})
+    for (const auto& q : *batch)
+      EXPECT_EQ(q.result, geom::Kirkpatrick::kOutside);
 }
 
 // ---------------------------------------------------------------------------
